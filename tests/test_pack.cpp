@@ -6,11 +6,16 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "adapter_harness.hpp"
 #include "axi/burst.hpp"
+#include "mem/word.hpp"
+#include "pack/port_mux.hpp"
+#include "sim/kernel.hpp"
 #include "util/rng.hpp"
 
 namespace axipack {
@@ -489,6 +494,209 @@ TEST(AdapterTest, StridedThroughputConflictFree) {
   const std::uint64_t beats = 2048 / 8;
   // Allow pipeline fill + inter-burst bubbles.
   EXPECT_LT(cycles, beats * 13 / 10 + 40);
+}
+
+// ---- PortMux arbitration -------------------------------------------------
+// These tests drive the mux's lane FIFOs directly over a passive word
+// memory: the test pops granted requests off the memory ports and pushes
+// responses itself, so grant order and timing are observed per cycle.
+
+/// Word memory that serves nothing (the test plays the memory).
+class PassiveWordMemory final : public mem::WordMemory {
+ public:
+  PassiveWordMemory(sim::Kernel& k, unsigned ports) {
+    for (unsigned p = 0; p < ports; ++p) {
+      ports_.push_back(std::make_unique<mem::WordPort>(k, 64, 64, 1));
+    }
+  }
+  unsigned num_ports() const override {
+    return static_cast<unsigned>(ports_.size());
+  }
+  mem::WordPort& port(unsigned i) override { return *ports_[i]; }
+
+ private:
+  std::vector<std::unique_ptr<mem::WordPort>> ports_;
+};
+
+/// One request granted onto a memory port.
+struct Grant {
+  sim::Cycle cycle = 0;  ///< cycle the mux granted it
+  unsigned conv = 0;     ///< converter id from the tag's top bits
+  std::uint32_t tag = 0; ///< converter-local tag (id bits stripped)
+  std::uint64_t addr = 0;
+  bool write = false;
+};
+
+struct MuxBench {
+  sim::Kernel k;
+  PassiveWordMemory mem;
+  pack::PortMux mux;
+  std::vector<std::vector<pack::LaneIO>> lanes;  ///< [conv][lane]
+  std::vector<std::vector<Grant>> grants;        ///< [lane], grant order
+
+  MuxBench(unsigned convs, unsigned ports, std::size_t lane_depth = 8,
+           std::size_t resp_depth = 8)
+      : mem(k, ports),
+        mux(k, mem, convs, lane_depth, resp_depth),
+        grants(ports) {
+    for (unsigned c = 0; c < convs; ++c) lanes.push_back(mux.lanes_of(c));
+  }
+
+  void request(unsigned conv, unsigned lane, std::uint64_t addr,
+               std::uint32_t tag, bool write = false) {
+    mem::WordReq r;
+    r.addr = addr;
+    r.tag = tag;
+    r.write = write;
+    r.wstrb = write ? 0xF : 0;
+    lanes[conv][lane].req->push(r);
+  }
+
+  /// Steps `n` cycles, logging every grant (a grant made in cycle t is
+  /// visible on the memory port at t+1).
+  void run(unsigned n) {
+    for (unsigned i = 0; i < n; ++i) {
+      k.step();
+      for (unsigned l = 0; l < mem.num_ports(); ++l) {
+        auto& q = mem.port(l).req;
+        while (q.can_pop()) {
+          const mem::WordReq r = q.pop();
+          grants[l].push_back({k.now() - 1, r.tag >> pack::PortMux::kConvShift,
+                               r.tag & ((1u << pack::PortMux::kConvShift) - 1),
+                               r.addr, r.write});
+        }
+      }
+    }
+  }
+
+  std::vector<unsigned> convs_of(unsigned lane) const {
+    std::vector<unsigned> out;
+    for (const Grant& g : grants[lane]) out.push_back(g.conv);
+    return out;
+  }
+  std::vector<sim::Cycle> cycles_of(unsigned lane) const {
+    std::vector<sim::Cycle> out;
+    for (const Grant& g : grants[lane]) out.push_back(g.cycle);
+    return out;
+  }
+};
+
+TEST(PortMuxTest, RoundRobinRotatesOverPendingConverters) {
+  MuxBench b(/*convs=*/3, /*ports=*/2);
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    for (unsigned c = 0; c < 3; ++c) b.request(c, 0, 0x100 * c + 4 * i, i);
+    b.request(0, 1, 0x1000 + 4 * i, 10 + i);
+    b.request(2, 1, 0x2000 + 4 * i, 20 + i);
+  }
+  b.run(10);
+  // One grant per lane per cycle, rotating past converters with nothing
+  // pending; each lane keeps its own pointer.
+  EXPECT_EQ(b.convs_of(0), (std::vector<unsigned>{0, 1, 2, 0, 1, 2}));
+  EXPECT_EQ(b.cycles_of(0), (std::vector<sim::Cycle>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(b.convs_of(1), (std::vector<unsigned>{0, 2, 0, 2}));
+  EXPECT_EQ(b.cycles_of(1), (std::vector<sim::Cycle>{1, 2, 3, 4}));
+  // The converter id rides in the tag's top bits; the low bits and the
+  // address pass through, and each converter's requests stay in order.
+  ASSERT_EQ(b.grants[1].size(), 4u);
+  EXPECT_EQ(b.grants[1][0].tag, 10u);
+  EXPECT_EQ(b.grants[1][1].tag, 20u);
+  EXPECT_EQ(b.grants[1][2].tag, 11u);
+  EXPECT_EQ(b.grants[1][3].addr, 0x2004u);
+  EXPECT_EQ(b.mux.words_issued(), 10u);
+}
+
+TEST(PortMuxTest, StickyQuantumKeepsLaneForQuantumGrants) {
+  MuxBench b(/*convs=*/2, /*ports=*/1);
+  b.mux.set_sticky_quantum(3);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    b.request(0, 0, 4 * i, i);
+    b.request(1, 0, 0x100 + 4 * i, i);
+  }
+  b.run(12);
+  // Three back-to-back grants per holder, then round-robin hands the lane
+  // on with fresh credit. Once conv 0 runs dry, conv 1 takes over without
+  // waiting (no patience), and its credit restarts.
+  EXPECT_EQ(b.convs_of(0),
+            (std::vector<unsigned>{0, 0, 0, 1, 1, 1, 0, 0, 1, 1}));
+  EXPECT_EQ(b.cycles_of(0),
+            (std::vector<sim::Cycle>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+}
+
+TEST(PortMuxTest, PatienceHoldsLaneThenYields) {
+  MuxBench b(/*convs=*/2, /*ports=*/1);
+  b.mux.set_sticky_quantum(4, /*patience=*/3);
+  b.request(0, 0, 0x0, 0);
+  for (std::uint32_t i = 0; i < 3; ++i) b.request(1, 0, 0x100 + 4 * i, i);
+  b.run(10);
+  // Conv 0 holds credit but has no request: conv 1 is denied for exactly
+  // `patience` cycles (2, 3, 4), then the lane yields to it.
+  EXPECT_EQ(b.convs_of(0), (std::vector<unsigned>{0, 1, 1, 1}));
+  EXPECT_EQ(b.cycles_of(0), (std::vector<sim::Cycle>{1, 5, 6, 7}));
+}
+
+TEST(PortMuxTest, HolderResumingWithinPatienceKeepsLane) {
+  MuxBench b(/*convs=*/2, /*ports=*/1);
+  b.mux.set_sticky_quantum(4, /*patience=*/3);
+  b.request(0, 0, 0x0, 0);
+  for (std::uint32_t i = 0; i < 3; ++i) b.request(1, 0, 0x100 + 4 * i, i);
+  b.run(2);
+  b.request(0, 0, 0x4, 1);  // visible in cycle 3, inside the hold
+  b.run(10);
+  // The holder's second request lands during its bubble and is granted on
+  // remaining credit; the next bubble restarts the patience count (4..6).
+  EXPECT_EQ(b.convs_of(0), (std::vector<unsigned>{0, 0, 1, 1, 1}));
+  EXPECT_EQ(b.cycles_of(0), (std::vector<sim::Cycle>{1, 3, 7, 8, 9}));
+}
+
+TEST(PortMuxTest, WriteSnoopFiresOnWriteGrant) {
+  MuxBench b(/*convs=*/2, /*ports=*/2);
+  std::vector<std::pair<std::uint64_t, sim::Cycle>> snooped;
+  b.mux.set_write_snoop(
+      [&](std::uint64_t addr) { snooped.emplace_back(addr, b.k.now()); });
+  b.request(0, 0, 0xA0, 0);                   // read
+  b.request(1, 0, 0xB0, 0, /*write=*/true);   // write behind it (rr)
+  b.request(1, 1, 0xC0, 0, /*write=*/true);   // write, granted at once
+  b.run(4);
+  // Reads never snoop; each write snoops once, in the cycle it is granted
+  // (lane 1's write in cycle 1, lane 0's in cycle 2 after the read).
+  using Snoop = std::pair<std::uint64_t, sim::Cycle>;
+  EXPECT_EQ(snooped, (std::vector<Snoop>{{0xC0, 1}, {0xB0, 2}}));
+  ASSERT_EQ(b.grants[0].size(), 2u);
+  EXPECT_FALSE(b.grants[0][0].write);
+  EXPECT_TRUE(b.grants[0][1].write);
+}
+
+TEST(PortMuxTest, ResponsesRouteByConverterIdTag) {
+  MuxBench b(/*convs=*/3, /*ports=*/2, /*lane_depth=*/8, /*resp_depth=*/2);
+  const auto respond = [&](unsigned lane, unsigned conv, std::uint32_t tag) {
+    mem::WordResp r;
+    r.tag = (conv << pack::PortMux::kConvShift) | tag;
+    r.rdata = 0xD000u + tag;
+    b.mem.port(lane).resp.push(r);
+  };
+  respond(1, 2, 7);
+  respond(1, 2, 9);
+  respond(1, 2, 11);
+  respond(1, 0, 3);
+  b.run(8);
+  // Conv 2's response FIFO (depth 2) fills with tags 7 and 9; tag 11
+  // blocks the port's head, so conv 0's response behind it waits too.
+  auto& r2 = *b.lanes[2][1].resp;
+  auto& r0 = *b.lanes[0][1].resp;
+  ASSERT_EQ(r2.size(), 2u);
+  EXPECT_TRUE(r0.empty());
+  EXPECT_TRUE(b.lanes[1][1].resp->empty());
+  EXPECT_TRUE(b.lanes[2][0].resp->empty());
+  EXPECT_EQ(r2.pop().tag, 7u);
+  const mem::WordResp second = r2.pop();
+  EXPECT_EQ(second.tag, 9u);
+  EXPECT_EQ(second.rdata, 0xD009u);
+  b.run(4);
+  ASSERT_EQ(r2.size(), 1u);
+  EXPECT_EQ(r2.pop().tag, 11u);
+  ASSERT_EQ(r0.size(), 1u);
+  EXPECT_EQ(r0.front().tag, 3u);
+  EXPECT_EQ(r0.front().rdata, 0xD003u);
 }
 
 // Property sweep: random (stride, element size, length) gathers must equal
