@@ -140,7 +140,10 @@ DramMemory::DramMemory(sim::Kernel& k, BackingStore& store,
                                                 cfg.resp_depth, 1));
   }
   k.add(*this);
-  for (auto& port : ports_) k.subscribe(*this, port->req);
+  for (unsigned i = 0; i < cfg.num_ports; ++i) {
+    k.subscribe(*this, ports_[i]->req);
+    ports_[i]->req.set_push_flag(&undecoded_ports_, i);
+  }
 }
 
 void DramMemory::refresh_update(BankState& b, sim::Cycle now) {
@@ -251,11 +254,13 @@ bool DramMemory::release_responses(sim::Cycle now) {
 
 bool DramMemory::absorb_arrivals(sim::Cycle now) {
   bool grew = false;
-  const unsigned n = static_cast<unsigned>(ports_.size());
   const unsigned num_banks = static_cast<unsigned>(banks_.size());
   const sim::Cycle keepalive = cfg_.timing.tRP + cfg_.timing.tRCD;
   next_arrival_ = sim::kNeverCycle;
-  for (unsigned p = 0; p < n; ++p) {
+  // A port whose window holds every stored request has nothing to decode
+  // and no in-flight arrival to report; only flagged ports are visited.
+  for (std::uint64_t m = undecoded_ports_; m != 0; m &= m - 1) {
+    const unsigned p = ctz64(m);
     WordPort& port = *ports_[p];
     // Decode once on entry: requests are immutable once enqueued, so every
     // later rescan touches only cached fields. Visibility is FIFO (the
@@ -352,7 +357,9 @@ bool DramMemory::absorb_arrivals(sim::Cycle now) {
     }
     // The first still-in-flight request that would grow this window (the
     // decode loop above stopped right at it) bounds the horizon.
-    if (win_size_[p] < cfg_.sched_window && win_size_[p] < port.req.size()) {
+    if (win_size_[p] == port.req.size()) {
+      undecoded_ports_ &= ~(std::uint64_t{1} << p);
+    } else if (win_size_[p] < cfg_.sched_window) {
       const sim::Cycle v = port.req.item_visible_at(win_size_[p]);
       if (v < next_arrival_) next_arrival_ = v;
     }

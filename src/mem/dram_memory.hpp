@@ -263,6 +263,7 @@ class DramMemory final : public WordMemory, public sim::Component {
 
   /// Decodes newly visible requests into the window rings (decode-once)
   /// and dirties the ports whose windows grew. Returns true if any grew.
+  /// Visits only ports flagged in undecoded_ports_.
   bool absorb_arrivals(sim::Cycle now);
 
   /// Rebuilds one dirty port's candidate slots, bitmasks and hazard
@@ -383,6 +384,11 @@ class DramMemory final : public WordMemory, public sim::Component {
   std::uint64_t dirty_ports_ = 0;  ///< ports whose candidate cache needs rescan
   std::uint64_t live_banks_ = 0;   ///< banks with a nonzero contender mask
   std::uint64_t release_ports_ = 0;  ///< ports whose head entry is granted
+  /// Bit p set iff port p's request Fifo holds items not yet decoded into
+  /// its window (visible or in flight). Set by the Fifos' push taps
+  /// (FifoBase::set_push_flag), cleared by absorb_arrivals once the window
+  /// has caught up; releases pop window entries only, so they keep it.
+  std::uint64_t undecoded_ports_ = 0;
   std::vector<std::uint64_t> port_bank_mask_;      ///< banks with a candidate
   std::vector<std::uint64_t> port_interest_mask_;  ///< banks with ungranted entries
   std::vector<std::uint64_t> port_samerow_mask_;   ///< banks with an ungranted open-row hit (veto anchors)

@@ -172,6 +172,9 @@ void BaseConverter::accept_w(const axi::AxiW& w) {
 }
 
 void BaseConverter::collect_acks() {
+  // A burst leaves writes_ only after its last ack, so with no write burst
+  // outstanding no lane can hold a write ack: the scan would be a no-op.
+  if (writes_.empty()) return;
   for (unsigned l = 0; l < lanes_.size(); ++l) {
     if (!lanes_[l].resp->can_pop()) continue;
     // Reads and writes share the lane response queues; only consume write
@@ -188,16 +191,14 @@ void BaseConverter::collect_acks() {
       }
     }
   }
-  if (!writes_.empty()) {
-    WriteBurst& burst = writes_.front();
-    if (burst.unpack_beat == burst.aw.beats() &&
-        burst.acks == burst.words_issued && b_out_.can_push()) {
-      axi::AxiB b;
-      b.id = burst.aw.id;
-      if (burst.err) b.resp = axi::kRespSlvErr;
-      b_out_.push(b);
-      writes_.pop_front();
-    }
+  WriteBurst& burst = writes_.front();
+  if (burst.unpack_beat == burst.aw.beats() &&
+      burst.acks == burst.words_issued && b_out_.can_push()) {
+    axi::AxiB b;
+    b.id = burst.aw.id;
+    if (burst.err) b.resp = axi::kRespSlvErr;
+    b_out_.push(b);
+    writes_.pop_front();
   }
 }
 

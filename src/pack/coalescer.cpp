@@ -43,6 +43,18 @@ Coalescer::Coalescer(sim::Kernel& k, std::vector<LaneIO> downstream,
   k.add(*this);
   for (auto& f : up_req_) k.subscribe(*this, *f);
   for (const LaneIO& lane : down_) k.subscribe(*this, *lane.resp);
+  assert(lanes_n_ <= 64 && "lane occupancy masks are one 64-bit word");
+  for (unsigned l = 0; l < lanes_n_; ++l) {
+    up_req_[l]->set_push_flag(&up_req_pending_, l);
+    down_[l].resp->set_push_flag(&down_resp_pending_, l);
+  }
+}
+
+Coalescer::~Coalescer() {
+  // The downstream response Fifos belong to the port mux, which may
+  // outlive this unit; detach the taps so they never write through a
+  // dangling pointer.
+  for (const LaneIO& lane : down_) lane.resp->set_push_flag(nullptr, 0);
 }
 
 std::vector<LaneIO> Coalescer::upstream_lanes() {
@@ -64,9 +76,12 @@ void Coalescer::set_locality_key(LocalityKeyFn fn) {
 }
 
 void Coalescer::drain_downstream() {
-  for (unsigned l = 0; l < lanes_n_; ++l) {
-    if (!down_[l].resp->can_pop()) continue;
-    const mem::WordResp resp = down_[l].resp->pop();
+  for (std::uint64_t m = down_resp_pending_; m != 0; m &= m - 1) {
+    const unsigned l = static_cast<unsigned>(__builtin_ctzll(m));
+    sim::Fifo<mem::WordResp>& q = *down_[l].resp;
+    if (!q.can_pop()) continue;
+    const mem::WordResp resp = q.pop();
+    if (q.empty()) down_resp_pending_ &= ~(std::uint64_t{1} << l);
     assert(resp.tag < table_.size());
     Entry& e = table_[resp.tag];
     assert(e.valid && !e.filled);
@@ -108,8 +123,9 @@ void Coalescer::drain_downstream() {
 }
 
 void Coalescer::release_upstream() {
-  for (unsigned l = 0; l < lanes_n_; ++l) {
-    if (waiters_[l].empty() || !up_resp_[l]->can_push()) continue;
+  for (std::uint64_t m = waiters_pending_; m != 0; m &= m - 1) {
+    const unsigned l = static_cast<unsigned>(__builtin_ctzll(m));
+    if (!up_resp_[l]->can_push()) continue;
     const Waiter& w = waiters_[l].front();
     if (!w.ready) continue;  // fetch still in flight (in-order release)
     mem::WordResp resp;
@@ -119,6 +135,7 @@ void Coalescer::release_upstream() {
     resp.error = w.error;
     up_resp_[l]->push(resp);
     waiters_[l].pop_front();
+    if (waiters_[l].empty()) waiters_pending_ &= ~(std::uint64_t{1} << l);
     --total_waiters_;
   }
 }
@@ -164,9 +181,11 @@ std::uint32_t Coalescer::take_slot() {
 }
 
 void Coalescer::accept_upstream() {
-  for (unsigned l = 0; l < lanes_n_; ++l) {
-    if (!up_req_[l]->can_pop()) continue;
-    const mem::WordReq& req = up_req_[l]->front();
+  for (std::uint64_t m = up_req_pending_; m != 0; m &= m - 1) {
+    const unsigned l = static_cast<unsigned>(__builtin_ctzll(m));
+    sim::Fifo<mem::WordReq>& up = *up_req_[l];
+    if (!up.can_pop()) continue;
+    const mem::WordReq& req = up.front();
     std::uint32_t slot = kNoSlot;
     bool instant = false;
     std::uint32_t instant_data = 0;
@@ -223,7 +242,9 @@ void Coalescer::accept_upstream() {
       } else {
         lookup_[req.addr] = slot;
       }
-      issue_q_[route_of(e.key)].push_back(slot);
+      const unsigned route = route_of(e.key);
+      issue_q_[route].push_back(slot);
+      issue_pending_ |= std::uint64_t{1} << route;
       ++live_;
       stats_.peak_pending = std::max<std::uint64_t>(stats_.peak_pending,
                                                     live_);
@@ -239,15 +260,18 @@ void Coalescer::accept_upstream() {
     }
     ++next_seq_[l];
     waiters_[l].push_back(w);
+    waiters_pending_ |= std::uint64_t{1} << l;
     ++total_waiters_;
-    up_req_[l]->pop();
+    up.pop();
+    if (up.empty()) up_req_pending_ &= ~(std::uint64_t{1} << l);
   }
 }
 
 void Coalescer::issue_downstream() {
-  for (unsigned l = 0; l < lanes_n_; ++l) {
+  for (std::uint64_t m = issue_pending_; m != 0; m &= m - 1) {
+    const unsigned l = static_cast<unsigned>(__builtin_ctzll(m));
     std::deque<std::uint32_t>& q = issue_q_[l];
-    if (q.empty() || !down_[l].req->can_push()) continue;
+    if (!down_[l].req->can_push()) continue;
     // Prefer, within the window, the first entry continuing this lane's
     // current row group; fall back to the queue head (bounded reordering,
     // guaranteed progress). The lane itself is the bank partition, so the
@@ -264,6 +288,7 @@ void Coalescer::issue_downstream() {
     }
     const std::uint32_t slot = q[pick];
     q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
+    if (q.empty()) issue_pending_ &= ~(std::uint64_t{1} << l);
     const Entry& e = table_[slot];
     if (!has_last_key_[l] || e.key != last_key_[l]) ++stats_.row_groups;
     last_key_[l] = e.key;

@@ -110,6 +110,7 @@ class Coalescer final : public sim::Component {
   /// `downstream` is the port-mux lane bundle the unit issues fetches on.
   Coalescer(sim::Kernel& k, std::vector<LaneIO> downstream,
             const CoalescerConfig& cfg);
+  ~Coalescer() override;
 
   /// Upstream lane bundle handed to the indirect read converter's element
   /// stage (FIFOs owned by the coalescer; stable for its lifetime).
@@ -211,6 +212,16 @@ class Coalescer final : public sim::Component {
   std::size_t live_ = 0;           ///< fetches in flight (live entries)
   std::size_t total_waiters_ = 0;  ///< accepted, not yet released
   CoalescerStats stats_;
+  // Per-lane occupancy masks: bit l set iff the lane's queue is non-empty.
+  // Each tick stage walks only its mask's set bits (ascending, the old
+  // scan order); a clear bit proves that lane's step would be a no-op.
+  // The two Fifo masks are set by push taps (FifoBase::set_push_flag),
+  // the two deque masks at their push sites; all four are cleared where a
+  // pop empties the queue.
+  std::uint64_t up_req_pending_ = 0;     ///< up_req_ Fifos
+  std::uint64_t down_resp_pending_ = 0;  ///< down_[l].resp Fifos (mux-owned)
+  std::uint64_t waiters_pending_ = 0;    ///< waiters_ deques
+  std::uint64_t issue_pending_ = 0;      ///< issue_q_ deques
 };
 
 }  // namespace axipack::pack

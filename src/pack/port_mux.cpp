@@ -33,17 +33,15 @@ PortMux::PortMux(sim::Kernel& k, mem::WordMemory& memory,
   for (unsigned l = 0; l < lanes_; ++l) {
     k.subscribe(*this, memory_.port(l).resp);
   }
-  // Every Fifo a lane's work arrives through re-flags the lane's bit on
-  // push, so a lane whose bit is clear provably has nothing stored and
-  // tick() may skip it.
-  assert(lanes_ <= 64 && "active-lane bitmask is one 64-bit word");
-  active_lanes_ = lanes_ == 64 ? ~std::uint64_t{0}
-                               : (std::uint64_t{1} << lanes_) - 1;
+  // Every Fifo a lane's work arrives through sets its occupancy bit on
+  // push; tick() clears the bit when it pops the Fifo empty.
+  assert(lanes_ <= 64 && "response occupancy mask is one 64-bit word");
+  req_pending_.assign(lanes_, 0);
   for (unsigned l = 0; l < lanes_; ++l) {
     for (unsigned c = 0; c < convs_; ++c) {
-      req(c, l).set_push_flag(&active_lanes_, l);
+      req(c, l).set_push_flag(&req_pending_[l], c);
     }
-    memory_.port(l).resp.set_push_flag(&active_lanes_, l);
+    memory_.port(l).resp.set_push_flag(&resp_pending_, l);
   }
 }
 
@@ -65,18 +63,29 @@ std::vector<LaneIO> PortMux::lanes_of(unsigned conv) {
   return out;
 }
 
+unsigned PortMux::first_visible(unsigned lane, std::uint64_t pending,
+                               unsigned from, sim::Cycle now) {
+  // Rotation order from `from`: pending converters >= from ascending, then
+  // the ones below it (the wrap-around of the round-robin pointer).
+  const std::uint64_t below = (std::uint64_t{1} << from) - 1;
+  for (const std::uint64_t part : {pending & ~below, pending & below}) {
+    for (std::uint64_t m = part; m != 0; m &= m - 1) {
+      const unsigned c = static_cast<unsigned>(__builtin_ctzll(m));
+      if (req(c, lane).has_visible(now)) return c;
+    }
+  }
+  return convs_;
+}
+
 void PortMux::tick() {
   const sim::Cycle now = kernel_.now();  // hoisted out of the fifo checks
-  // Only flagged lanes can have stored work; an unflagged lane's body is a
-  // no-op (no visible request, no response, and hold aging needs a visible
-  // competitor), so skipping it cannot change any outcome. Pushes during
-  // this tick re-flag bits via the Fifo taps; lanes that still hold items
-  // (possibly not yet visible) re-flag themselves below.
-  std::uint64_t live = active_lanes_;
-  active_lanes_ = 0;
-  for (; live != 0; live &= live - 1) {
-    const unsigned l =
-        static_cast<unsigned>(__builtin_ctzll(live));
+  // Lanes with nothing stored are skipped: no visible request, no
+  // response, and hold aging needs a visible competitor, so their body
+  // would be a no-op.
+  for (unsigned l = 0; l < lanes_; ++l) {
+    const std::uint64_t pending = req_pending_[l];
+    const bool has_resp = ((resp_pending_ >> l) & 1) != 0;
+    if (pending == 0 && !has_resp) continue;
     mem::WordPort& port = *ports_[l];
     // Requests: round-robin over converters with a pending request. With a
     // sticky quantum, the last-granted converter keeps the lane while it
@@ -84,27 +93,22 @@ void PortMux::tick() {
     // holds the lane (denying competitors) for up to `patience` cycles,
     // after which — or once the credit is spent — the round-robin scan
     // takes over and re-arms the credit.
-    if (port.req.can_push()) {
-      unsigned c;
-      unsigned scan = convs_;
-      bool hold = false;
-      if (sticky_credit_[l] > 0 && req(sticky_conv_[l], l).has_visible(now)) {
-        c = sticky_conv_[l];
-        scan = 1;
+    if (pending != 0 && port.req.can_push()) {
+      const unsigned holder = sticky_conv_[l];
+      const std::uint64_t holder_bit = std::uint64_t{1} << holder;
+      unsigned c = convs_;
+      if (sticky_credit_[l] > 0 && (pending & holder_bit) != 0 &&
+          req(holder, l).has_visible(now)) {
+        c = holder;
         sticky_hold_since_[l] = kNoHold;
       } else {
-        c = rr_[l];
+        bool hold = false;
         if (sticky_credit_[l] > 0 && sticky_patience_ > 0) {
           // Only denied competitors start or age the hold, so lanes where
           // nothing is pending carry no hold state (keeps gated and naive
           // kernel scheduling cycle-identical).
-          bool competitor = false;
-          for (unsigned k = 0; k < convs_; ++k) {
-            if (k != sticky_conv_[l] && req(k, l).has_visible(now)) {
-              competitor = true;
-              break;
-            }
-          }
+          const bool competitor =
+              first_visible(l, pending & ~holder_bit, 0, now) != convs_;
           if (competitor) {
             if (sticky_hold_since_[l] == kNoHold) sticky_hold_since_[l] = now;
             if (now - sticky_hold_since_[l] < sticky_patience_) {
@@ -115,45 +119,38 @@ void PortMux::tick() {
             }
           }
         }
+        if (!hold) c = first_visible(l, pending, rr_[l], now);
       }
-      for (unsigned i = 0; !hold && i < scan; ++i) {
-        if (req(c, l).has_visible(now)) {
-          mem::WordReq r = req(c, l).pop();
-          assert((r.tag >> kConvShift) == 0 && "tag collides with conv field");
-          r.tag |= c << kConvShift;
-          if (r.write && write_snoop_) write_snoop_(r.addr);
-          port.req.push(r);
-          rr_[l] = c + 1 == convs_ ? 0 : c + 1;
-          if (sticky_quantum_ > 0) {
-            sticky_credit_[l] = c == sticky_conv_[l] && sticky_credit_[l] > 0
-                                    ? sticky_credit_[l] - 1
-                                    : sticky_quantum_ - 1;
-            sticky_conv_[l] = c;
-            sticky_hold_since_[l] = kNoHold;
-          }
-          ++words_issued_;
-          break;
+      if (c != convs_) {
+        sim::Fifo<mem::WordReq>& q = req(c, l);
+        mem::WordReq r = q.pop();
+        if (q.empty()) req_pending_[l] &= ~(std::uint64_t{1} << c);
+        assert((r.tag >> kConvShift) == 0 && "tag collides with conv field");
+        r.tag |= c << kConvShift;
+        if (r.write && write_snoop_) write_snoop_(r.addr);
+        port.req.push(r);
+        rr_[l] = c + 1 == convs_ ? 0 : c + 1;
+        if (sticky_quantum_ > 0) {
+          sticky_credit_[l] = c == holder && sticky_credit_[l] > 0
+                                  ? sticky_credit_[l] - 1
+                                  : sticky_quantum_ - 1;
+          sticky_conv_[l] = c;
+          sticky_hold_since_[l] = kNoHold;
         }
-        c = c + 1 == convs_ ? 0 : c + 1;
+        ++words_issued_;
       }
     }
     // Responses: route by converter id in the tag.
-    if (port.resp.has_visible(now)) {
+    if (has_resp && port.resp.has_visible(now)) {
       const unsigned c = port.resp.front().tag >> kConvShift;
       assert(c < convs_);
       if (resp(c, l).can_push()) {
         mem::WordResp r = port.resp.pop();
+        if (port.resp.empty()) resp_pending_ &= ~(std::uint64_t{1} << l);
         r.tag &= (1u << kConvShift) - 1u;
         resp(c, l).push(r);
       }
     }
-    // Re-flag while anything is still stored in the lane (visible or in
-    // flight: blocked requests, next-cycle pushes, unrouted responses).
-    bool busy = !port.resp.empty();
-    for (unsigned c = 0; !busy && c < convs_; ++c) {
-      busy = !req(c, l).empty();
-    }
-    if (busy) active_lanes_ |= std::uint64_t{1} << l;
   }
 }
 

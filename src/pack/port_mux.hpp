@@ -92,14 +92,22 @@ class PortMux final : public sim::Component {
   std::vector<sim::Cycle> sticky_hold_since_;
   std::function<void(std::uint64_t)> write_snoop_;
   std::uint64_t words_issued_ = 0;
-  /// Lanes with anything stored in their request Fifos or their memory
-  /// port's response Fifo. tick() scans only these (the per-lane
-  /// arbitration was ~16% of the dram-set profile; most lanes idle most
-  /// cycles). Producers re-flag a lane through the Fifos' push taps
-  /// (FifoBase::set_push_flag); the mux re-flags after ticking a lane that
-  /// still holds items. Occupancy-driven, so an idle lane's skipped body
-  /// is a strict no-op and scheduling stays cycle-identical.
-  std::uint64_t active_lanes_ = 0;
+  // Occupancy masks (FifoBase::set_push_flag taps, cleared here when a
+  // pop empties the Fifo). tick() visits only lanes with stored work and,
+  // within a lane, only converters with a stored request (the per-lane
+  // arbitration scan was the top single function of every profile; most
+  // lanes and converters idle most cycles). A clear bit proves the
+  // skipped check would have found nothing, so scheduling stays
+  // cycle-identical.
+  /// Per lane: bit c set iff converter c's request Fifo is non-empty.
+  std::vector<std::uint64_t> req_pending_;
+  /// Bit l set iff memory port l's response Fifo is non-empty.
+  std::uint64_t resp_pending_ = 0;
+
+  /// First converter, in round-robin order from `from`, among `pending`
+  /// whose request is visible at `now`; convs_ if none.
+  unsigned first_visible(unsigned lane, std::uint64_t pending, unsigned from,
+                         sim::Cycle now);
 };
 
 }  // namespace axipack::pack

@@ -123,13 +123,26 @@ class FifoBase {
     return size_ > 0 && head_visible_ <= now;
   }
 
-  /// Activity tap: every push also ORs `1 << bit` into `*word` (pass
-  /// nullptr to detach). Consumers that mux many Fifos (the adapter's
-  /// bank-port mux) point a group of channels at one bitmask word and scan
-  /// only flagged groups instead of polling every channel every cycle.
-  /// Purely an observer — occupancy and visibility are unaffected, so
-  /// gated and naive scheduling stay cycle-identical.
+  /// Occupancy tap: every push also ORs `1 << bit` into `*word`; pass
+  /// nullptr to detach. The consumer that owns the word clears the bit
+  /// when it pops the Fifo empty, so the bit is set iff the Fifo stores
+  /// an item (visible or in flight). A multi-lane consumer then walks the
+  /// set bits of one word instead of polling every Fifo every cycle; a
+  /// clear bit proves the lane's scan would be a no-op. The tap is purely
+  /// an observer — occupancy and visibility are unaffected, so gated and
+  /// naive scheduling stay cycle-identical.
+  ///
+  /// A Fifo holds one tap: attaching to an already-tapped Fifo asserts
+  /// (it would silently blind the first consumer's mask). Current taps:
+  ///  * PortMux — each converter lane request Fifo (per-lane word, bit =
+  ///    converter) and each memory port's response Fifo (bit = lane);
+  ///  * Coalescer — its own upstream request Fifos and the mux-owned
+  ///    response Fifos of its downstream lanes (bit = lane);
+  ///  * DramMemory — its own port request Fifos (bit = port).
   void set_push_flag(std::uint64_t* word, unsigned bit) {
+    assert((word == nullptr || push_flag_word_ == nullptr) &&
+           "Fifo already carries an occupancy tap");
+    assert(bit < 64);
     push_flag_word_ = word;
     push_flag_mask_ = std::uint64_t{1} << bit;
   }
