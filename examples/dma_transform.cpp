@@ -11,6 +11,7 @@
 //   3. and shows the descriptor-chain API batching several columns.
 //
 // Usage: dma_transform [matrix_dim]           (default 256)
+// Exits non-zero if the engine fails to drain or any gather is wrong.
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -33,6 +34,7 @@ struct Fabric {
   std::unique_ptr<sys::System> system;
   mem::BackingStore& store;
   dma::DmaEngine& engine;
+  bool drained = true;  ///< every run() drained
 
   explicit Fabric(bool use_pack)
       : system(sys::ScenarioRegistry::instance().build(
@@ -42,8 +44,10 @@ struct Fabric {
 
   std::uint64_t run() {
     const std::uint64_t start = system->kernel().now();
-    const bool ok = system->run_until_drained(50'000'000);
-    if (!ok) std::fprintf(stderr, "DMA did not drain!\n");
+    if (!system->run_until_drained(50'000'000)) {
+      std::fprintf(stderr, "DMA did not drain!\n");
+      drained = false;
+    }
     return system->kernel().now() - start;
   }
 };
@@ -59,6 +63,7 @@ int main(int argc, char** argv) {
   util::Table table({"engine", "bursts (AR)", "R beats", "cycles",
                      "bytes/cycle", "speedup"});
   std::uint64_t narrow_cycles = 0;
+  bool all_ok = true;
   for (const bool use_pack : {false, true}) {
     Fabric fab(use_pack);
     // Row-major matrix; column gather is a stride of one row.
@@ -83,6 +88,7 @@ int main(int argc, char** argv) {
       correct &= fab.store.read_f32(dst + 4 * i) ==
                  fab.store.read_f32(mat + 4 * 7 + i * std::uint64_t{n} * 4);
     }
+    all_ok &= fab.drained && correct;
     const auto& s = fab.engine.stats();
     table.row()
         .cell(use_pack ? "AXI-Pack strided burst" : "per-element narrow")
@@ -117,10 +123,22 @@ int main(int argc, char** argv) {
   }
   fab.engine.start_chain(dma::build_chain(fab.store, chain));
   const std::uint64_t cycles = fab.run();
+  all_ok &= fab.drained;
+  for (std::uint32_t c = 0; c < chain.size(); ++c) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (fab.store.read_f32(chain[c].dst.addr + 4 * i) !=
+          fab.store.read_f32(mat + 4ull * c + i * std::uint64_t{n} * 4)) {
+        std::fprintf(stderr, "WRONG DATA: chain column %u element %llu\n", c,
+                     static_cast<unsigned long long>(i));
+        all_ok = false;
+        break;
+      }
+    }
+  }
   std::printf("  %zu descriptors, %llu cycles total, %llu descriptor-fetch "
               "bytes on the bus\n",
               chain.size(), static_cast<unsigned long long>(cycles),
               static_cast<unsigned long long>(
                   fab.engine.stats().desc_fetch_bytes));
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
                      "energy (uJ)", "correct"});
   sys::RunResult base_result;
   energy::PowerEstimate base_power;
+  bool all_correct = true;
   for (const auto kind : {sys::SystemKind::base, sys::SystemKind::pack}) {
     auto wl_cfg = sys::plan_workload(wl::KernelKind::prank, sys::scenario_name(kind));
     wl_cfg.n = nodes;
@@ -46,6 +47,7 @@ int main(int argc, char** argv) {
         .cell(power.power_mw, 1)
         .cell(power.energy_uj, 2)
         .cell(result.correct ? "yes" : ("NO: " + result.error));
+    all_correct &= result.correct;
     if (kind == sys::SystemKind::pack) {
       std::printf("\n");
       table.print(std::cout);
@@ -57,5 +59,5 @@ int main(int argc, char** argv) {
                                           power, result.cycles));
     }
   }
-  return 0;
+  return all_correct ? 0 : 1;
 }

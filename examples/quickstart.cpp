@@ -4,6 +4,7 @@
 // back tightly packed on the R channel.
 //
 // Build & run:  ./build/examples/quickstart
+// Exits non-zero if the burst does not complete or an element is wrong.
 #include <cstdio>
 #include <memory>
 
@@ -43,7 +44,9 @@ int main() {
 
   port.ar.push(bursts[0]);
   unsigned beat_no = 0;
-  kernel.run_until([&] {
+  std::uint32_t elem_no = 0;
+  bool correct = true;
+  const sim::RunStatus status = kernel.run_until([&] {
     while (port.r.can_pop()) {
       const axi::AxiR beat = port.r.pop();
       std::printf("R beat %u (%2u useful bytes): ", beat_no++,
@@ -53,6 +56,7 @@ int main() {
         axi::extract_bytes(beat.data, 4 * e,
                            reinterpret_cast<std::uint8_t*>(&v), 4);
         std::printf("%4u", v);
+        correct &= v == 4 + 5 * elem_no++;
       }
       std::printf("%s\n", beat.last ? "   <- last" : "");
       if (beat.last) return true;
@@ -63,5 +67,9 @@ int main() {
   std::printf("\nElapsed: %llu cycles for 16 scattered elements "
               "(packed, bank-parallel)\n",
               static_cast<unsigned long long>(kernel.now()));
+  if (!status.completed || elem_no != 16 || !correct) {
+    std::fprintf(stderr, "WRONG: expected elements 4, 9, ..., 79\n");
+    return 1;
+  }
   return 0;
 }

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   util::Table table({"system", "indices", "cycles", "R util", "R util w/o idx",
                      "speedup", "correct"});
   std::uint64_t base_cycles = 0;
+  bool all_correct = true;
   for (const auto kind : {sys::SystemKind::base, sys::SystemKind::pack,
                           sys::SystemKind::ideal}) {
     auto wl_cfg = sys::plan_workload(wl::KernelKind::spmv, sys::scenario_name(kind));
@@ -39,10 +40,11 @@ int main(int argc, char** argv) {
         .cell(util::fmt_pct(result.r_util_no_idx))
         .cell(static_cast<double>(base_cycles) / result.cycles, 2)
         .cell(result.correct ? "yes" : ("NO: " + result.error));
+    all_correct &= result.correct;
   }
   table.print(std::cout);
   std::printf("\npaper (heart1, 390 nnz/row): PACK speedup 2.4x; in-memory "
               "indirection keeps index\ntraffic off the bus (IDEAL wastes up "
               "to 20%% of bus time on indices)\n");
-  return 0;
+  return all_correct ? 0 : 1;
 }

@@ -18,22 +18,53 @@ unsigned wpe(const Descriptor& d) { return d.elem_bytes / 4; }
 /// Bytes of one index entry.
 unsigned idx_bytes(const Pattern& p) { return p.index_bits / 8; }
 
-/// Burst plan for reading one side of `d` in pack/contiguous mode.
-std::vector<axi::AxiAr> plan_pattern_reads(const Pattern& p,
-                                           const Descriptor& d,
-                                           unsigned bus_bytes) {
+/// One planned burst and the payload bytes the engine moves with it.
+struct Burst {
+  axi::AxiAx ax;
+  std::uint64_t payload_bytes;
+};
+
+/// INCR bursts tiling [addr, addr + bytes): each burst's payload runs up
+/// to the next burst's start.
+std::vector<Burst> contiguous_bursts(
+    std::uint64_t addr, std::uint64_t bytes, unsigned bus_bytes,
+    axi::Traffic traffic = axi::Traffic::data) {
+  const std::vector<axi::AxiAx> ars =
+      axi::split_contiguous(addr, bytes, bus_bytes, traffic);
+  std::vector<Burst> out;
+  out.reserve(ars.size());
+  for (std::size_t i = 0; i < ars.size(); ++i) {
+    const std::uint64_t end =
+        i + 1 < ars.size() ? ars[i + 1].addr : addr + bytes;
+    out.push_back({ars[i], end - ars[i].addr});
+  }
+  return out;
+}
+
+/// Burst plan for one side of `d` in pack/contiguous mode: an INCR tiling
+/// of a contiguous side, or AXI-Pack bursts carrying irregular elements
+/// packed.
+std::vector<Burst> pattern_bursts(const Pattern& p, const Descriptor& d,
+                                  unsigned bus_bytes) {
+  std::vector<axi::AxiAx> ars;
   switch (p.kind) {
     case Pattern::Kind::contiguous:
-      return axi::split_contiguous(p.addr, d.total_bytes(), bus_bytes);
+      return contiguous_bursts(p.addr, d.total_bytes(), bus_bytes);
     case Pattern::Kind::strided:
-      return axi::split_pack_strided(p.addr, p.stride, d.elem_bytes,
-                                     d.num_elems, bus_bytes);
+      ars = axi::split_pack_strided(p.addr, p.stride, d.elem_bytes,
+                                    d.num_elems, bus_bytes);
+      break;
     case Pattern::Kind::indirect:
-      return axi::split_pack_indirect(p.addr, p.index_base, p.index_bits,
-                                      d.elem_bytes, d.num_elems, bus_bytes);
+      ars = axi::split_pack_indirect(p.addr, p.index_base, p.index_bits,
+                                     d.elem_bytes, d.num_elems, bus_bytes);
+      break;
   }
-  assert(false);
-  return {};
+  std::vector<Burst> out;
+  out.reserve(ars.size());
+  for (const axi::AxiAx& ar : ars) {
+    out.push_back({ar, ar.pack->num_elems * d.elem_bytes});
+  }
+  return out;
 }
 
 }  // namespace
@@ -49,31 +80,30 @@ DmaEngine::DmaEngine(sim::Kernel& k, axi::AxiPort& port, const DmaConfig& cfg)
 void DmaEngine::push(const Descriptor& d) {
   assert(d.elem_bytes >= 4 && d.elem_bytes % 4 == 0 &&
          d.elem_bytes <= cfg_.bus_bytes);
-  assert(!ring_active_ && "register descriptors are exclusive with a ring");
-  queue_.push_back(PendingDesc{d, 0, false, now_});
-  stats_.queue_peak = std::max<std::uint64_t>(stats_.queue_peak,
-                                              queue_.size());
-  wake_self();
+  enqueue(PendingDesc{d, 0, now_});
 }
 
 void DmaEngine::start_chain(std::uint64_t head) {
   assert(head != 0);
-  assert(!ring_active_ && "chains are exclusive with a ring");
-  queue_.push_back(PendingDesc{{}, head, true, now_});
+  enqueue(PendingDesc{{}, head, now_});
+}
+
+void DmaEngine::enqueue(const PendingDesc& p) {
+  assert(!ring_active_ && "queued work is exclusive with a ring");
+  queue_.push_back(p);
   stats_.queue_peak = std::max<std::uint64_t>(stats_.queue_peak,
                                               queue_.size());
   wake_self();
 }
 
-void DmaEngine::start_ring(const RingConfig& rc) {
+void DmaEngine::start_ring(std::uint64_t head) {
   assert(idle() && "start_ring requires an idle engine");
   assert(!ring_active_);
-  assert(rc.head_addr != 0);
+  assert(head != 0);
   ring_active_ = true;
-  ring_cfg_ = rc;
-  ring_next_addr_ = rc.head_addr;
+  link_ = head;
   ring_published_ = ring_consumed_ = ring_completed_ = 0;
-  has_prefetched_ = false;
+  prefetched_.reset();
   cur_ring_ordinal_ = kNoOrdinal;
   wake_self();
 }
@@ -89,9 +119,10 @@ void DmaEngine::publish(std::uint64_t n) {
 void DmaEngine::stop_ring() {
   assert(ring_active_);
   assert(ring_completed_ == ring_published_ && !transfer_active_ &&
-         !fetching_desc_ && !has_prefetched_ &&
+         !fetching_desc_ && !prefetched_ &&
          "stop_ring before the ring drained");
   ring_active_ = false;
+  link_ = 0;
   cur_ring_ordinal_ = kNoOrdinal;
 }
 
@@ -113,11 +144,13 @@ void DmaEngine::ring_reject_pending() {
 }
 
 bool DmaEngine::idle() const {
-  const bool ring_work =
-      ring_active_ &&
-      (has_prefetched_ || ring_consumed_ < ring_published_);
+  // Link work: a chain link to fetch, or a ring slot prefetched or
+  // published but not yet fetched (a broken ring still owes failures).
+  const bool link_work =
+      ring_active_ ? prefetched_ || ring_consumed_ < ring_published_
+                   : link_ != 0;
   return !transfer_active_ && !fetching_desc_ && queue_.empty() &&
-         !ring_work;
+         !link_work;
 }
 
 std::uint64_t DmaEngine::elem_addr(const Pattern& p, std::uint64_t i,
@@ -138,47 +171,28 @@ std::uint64_t DmaEngine::elem_addr(const Pattern& p, std::uint64_t i,
   return 0;
 }
 
+void DmaEngine::plan_read(const axi::AxiAr& ar, std::uint64_t payload_bytes,
+                          ReadKind kind) {
+  PlannedRead pr;
+  pr.ar = ar;
+  pr.ar.id = cfg_.axi_id;
+  pr.payload_bytes = payload_bytes;
+  pr.kind = kind;
+  planned_reads_.push_back(pr);
+}
+
 void DmaEngine::plan_index_fetch(const Pattern& p) {
-  const std::uint64_t bytes = cur_.num_elems * idx_bytes(p);
-  for (const axi::AxiAr& ar :
-       axi::split_contiguous(p.index_base, bytes, cfg_.bus_bytes,
-                             axi::Traffic::index)) {
-    PlannedRead pr;
-    pr.ar = ar;
-    pr.ar.id = cfg_.axi_id;
-    pr.kind = ReadKind::index;
-    // Payload accounting below relies on planned order, so compute the
-    // exact byte count this burst covers.
-    pr.payload_bytes = 0;  // filled after the loop from the tiling
-    planned_reads_.push_back(pr);
-  }
-  // split_contiguous tiles [index_base, index_base + bytes); recover each
-  // burst's extent from consecutive start addresses.
-  std::uint64_t end = p.index_base + bytes;
-  for (std::size_t i = planned_reads_.size(); i-- > 0;) {
-    PlannedRead& pr = planned_reads_[i];
-    if (pr.kind != ReadKind::index || pr.payload_bytes != 0) break;
-    pr.payload_bytes = end - pr.ar.addr;
-    end = pr.ar.addr;
+  for (const Burst& b :
+       contiguous_bursts(p.index_base, cur_.num_elems * idx_bytes(p),
+                         cfg_.bus_bytes, axi::Traffic::index)) {
+    plan_read(b.ax, b.payload_bytes, ReadKind::index);
   }
 }
 
 void DmaEngine::begin_transfer(const Descriptor& d) {
-  assert(!transfer_active_);
+  reset_transfer();
   cur_ = d;
   transfer_active_ = true;
-  planned_reads_.clear();
-  next_read_ = 0;
-  planned_writes_.clear();
-  next_aw_ = 0;
-  w_burst_ = 0;
-  w_sent_bytes_ = 0;
-  w_cursor_ = 0;
-  idx_src_.clear();
-  idx_dst_.clear();
-  idx_raw_.clear();
-  needs_src_idx_ = false;
-  needs_dst_idx_ = false;
 
   if (d.num_elems == 0) {
     finish_transfer();
@@ -203,73 +217,19 @@ void DmaEngine::begin_transfer(const Descriptor& d) {
   const bool src_irregular = d.src.kind != Pattern::Kind::contiguous;
   const bool dst_irregular = d.dst.kind != Pattern::Kind::contiguous;
 
-  // Plan data reads. In narrow mode irregular sides use per-element bursts
-  // generated on the fly (planned lazily in tick_read once indices are in).
+  // Plan data reads and writes. In narrow mode irregular sides use
+  // per-element bursts generated on the fly (planned lazily in tick_read /
+  // tick_write once indices are in).
   if (cfg_.use_pack || !src_irregular) {
-    for (const axi::AxiAr& ar :
-         plan_pattern_reads(d.src, d, cfg_.bus_bytes)) {
-      PlannedRead pr;
-      pr.ar = ar;
-      pr.ar.id = cfg_.axi_id;
-      pr.kind = ReadKind::data;
-      pr.payload_bytes = 0;
-      planned_reads_.push_back(pr);
-    }
-    // Recover per-burst payload from stream geometry.
-    if (!src_irregular) {
-      std::uint64_t end = d.src.addr + d.total_bytes();
-      for (std::size_t i = planned_reads_.size(); i-- > 0;) {
-        PlannedRead& pr = planned_reads_[i];
-        if (pr.kind != ReadKind::data) break;
-        pr.payload_bytes = end - pr.ar.addr;
-        end = pr.ar.addr;
-      }
-    } else {
-      for (PlannedRead& pr : planned_reads_) {
-        if (pr.kind == ReadKind::data) {
-          pr.payload_bytes = pr.ar.pack->num_elems * d.elem_bytes;
-        }
-      }
+    for (const Burst& b : pattern_bursts(d.src, d, cfg_.bus_bytes)) {
+      plan_read(b.ax, b.payload_bytes, ReadKind::data);
     }
   }
-
-  // Plan data writes symmetrically.
   if (cfg_.use_pack || !dst_irregular) {
-    Pattern dst = d.dst;
-    switch (dst.kind) {
-      case Pattern::Kind::contiguous: {
-        for (const axi::AxiAr& ar :
-             axi::split_contiguous(dst.addr, d.total_bytes(),
-                                   cfg_.bus_bytes)) {
-          planned_writes_.push_back(PlannedWrite{ar, 0});
-        }
-        std::uint64_t end = dst.addr + d.total_bytes();
-        for (std::size_t i = planned_writes_.size(); i-- > 0;) {
-          PlannedWrite& pw = planned_writes_[i];
-          pw.payload_bytes = end - pw.aw.addr;
-          end = pw.aw.addr;
-        }
-        break;
-      }
-      case Pattern::Kind::strided:
-        for (const axi::AxiAr& ar :
-             axi::split_pack_strided(dst.addr, dst.stride, d.elem_bytes,
-                                     d.num_elems, cfg_.bus_bytes)) {
-          planned_writes_.push_back(
-              PlannedWrite{ar, ar.pack->num_elems * d.elem_bytes});
-        }
-        break;
-      case Pattern::Kind::indirect:
-        for (const axi::AxiAr& ar :
-             axi::split_pack_indirect(dst.addr, dst.index_base,
-                                      dst.index_bits, d.elem_bytes,
-                                      d.num_elems, cfg_.bus_bytes)) {
-          planned_writes_.push_back(
-              PlannedWrite{ar, ar.pack->num_elems * d.elem_bytes});
-        }
-        break;
+    for (const Burst& b : pattern_bursts(d.dst, d, cfg_.bus_bytes)) {
+      planned_writes_.push_back(PlannedWrite{b.ax, b.payload_bytes});
+      planned_writes_.back().aw.id = cfg_.axi_id;
     }
-    for (PlannedWrite& pw : planned_writes_) pw.aw.id = cfg_.axi_id;
   }
 }
 
@@ -622,12 +582,7 @@ void DmaEngine::resolve_fault() {
   // A ring prefetch that was in flight when the transfer faulted is
   // abandoned: its slot was not yet consumed and will simply be fetched
   // again. The transfer owns the retry/fail decision.
-  if (transfer_active_ && fetching_desc_) {
-    fetching_desc_ = false;
-    desc_raw_.clear();
-    planned_reads_.clear();
-    next_read_ = 0;
-  }
+  if (transfer_active_ && fetching_desc_) drop_fetch();
   ++attempts_;
   const sim::RetryConfig& rc = cfg_.retry;
   // Breaker input: a failed attempt of a transfer whose irregular side rode
@@ -646,23 +601,20 @@ void DmaEngine::resolve_fault() {
   }
   fault_ = false;
   if (fatal_ || !rc.enabled() || attempts_ >= rc.max_attempts) {
-    // Error completion: record it and terminate the chain (cur_.next is
-    // not followed; a descriptor fetch in progress is abandoned). A ring
-    // behaves differently: slots are independent requests, so a failed
-    // transfer completes with an error and the ring continues — but a
-    // failed slot *fetch* breaks the link walk and ends the ring.
+    // Error completion. A failed fetch breaks the link walk: a chain ends,
+    // and a ring fails the slot and everything published behind it. A
+    // failed transfer ends a chain too (its `next` is followed only on
+    // success), but ring slots are independent requests, so the ring
+    // carries on past it.
     ++retry_stats_.failed_ops;
     ++stats_.error_descriptors;
     fatal_ = false;
     attempts_ = 0;
     if (fetching_desc_) {
-      fetching_desc_ = false;
-      desc_raw_.clear();
-      planned_reads_.clear();
-      next_read_ = 0;
+      drop_fetch();
+      link_ = 0;
       if (ring_active_) {
         ring_complete(ring_consumed_++, false);
-        ring_next_addr_ = 0;
         ring_reject_pending();
       }
     } else {
@@ -684,78 +636,61 @@ void DmaEngine::finish_transfer() {
   ++stats_.descriptors_done;
   transfer_active_ = false;
   attempts_ = 0;
-  rd_narrow_next_ = 0;
-  wr_narrow_next_ = 0;
   if (cur_ring_ordinal_ != kNoOrdinal) {
-    // Ring slots chain through their link fields at fetch time; `next` is
-    // not followed here — the walk already advanced when this descriptor
-    // was parsed.
+    // The ring's walk already advanced when this slot was parsed.
     const std::uint64_t ord = cur_ring_ordinal_;
     cur_ring_ordinal_ = kNoOrdinal;
     ring_complete(ord, true);
     return;
   }
   latency_.record(now_ - cur_arrival_);
-  if (cur_.next != 0) {
-    queue_.push_front(PendingDesc{{}, cur_.next, true, now_});
-  }
+  // A chain — or a register descriptor continuing into memory — follows
+  // `next` now that the descriptor finished.
+  assert(link_ == 0);
+  link_ = cur_.next;
+  link_arrival_ = now_;
 }
 
 void DmaEngine::tick_start() {
   if (transfer_active_ || fetching_desc_) return;
   if (ring_active_) {
-    if (has_prefetched_) {
-      has_prefetched_ = false;
+    if (prefetched_) {
+      const Descriptor d = *prefetched_;
+      prefetched_.reset();
       cur_ring_ordinal_ = prefetched_ordinal_;
-      begin_transfer(prefetched_);
+      begin_transfer(d);
       return;
     }
-    if (ring_next_addr_ == 0) {
+    if (link_ == 0) {
       // Broken ring (zero link, malformed slot or failed fetch): nothing
       // published can ever execute — reject it so producers don't hang.
       ring_reject_pending();
       return;
     }
-    if (ring_consumed_ < ring_published_) {
-      fetching_desc_ = true;
-      plan_desc_fetch(ring_next_addr_);
-    }
-    return;
-  }
-  if (queue_.empty()) return;
-  PendingDesc& head = queue_.front();
-  if (!head.from_memory) {
-    const Descriptor d = head.desc;
-    cur_arrival_ = head.arrival;
+    if (ring_consumed_ == ring_published_) return;  // await a doorbell
+  } else if (link_ == 0) {
+    if (queue_.empty()) return;
+    const PendingDesc head = queue_.front();
     queue_.pop_front();
-    begin_transfer(d);
-    return;
+    if (head.chain == 0) {
+      cur_arrival_ = head.arrival;
+      begin_transfer(head.desc);
+      return;
+    }
+    link_ = head.chain;
+    link_arrival_ = head.arrival;
   }
-  // Fetch the descriptor over the port (plain INCR reads).
   fetching_desc_ = true;
-  fetch_arrival_ = head.arrival;
-  plan_desc_fetch(head.addr);
-  queue_.pop_front();
+  plan_desc_fetch(link_);
 }
 
 void DmaEngine::plan_desc_fetch(std::uint64_t addr) {
-  desc_addr_ = addr;
   desc_raw_.clear();
   planned_reads_.clear();
   next_read_ = 0;
-  for (const axi::AxiAr& ar :
-       axi::split_contiguous(addr, kDescriptorBytes, cfg_.bus_bytes)) {
-    PlannedRead pr;
-    pr.ar = ar;
-    pr.ar.id = cfg_.axi_id;
-    pr.kind = ReadKind::descriptor;
-    pr.payload_bytes = 0;
-    planned_reads_.push_back(pr);
-  }
-  std::uint64_t end = addr + kDescriptorBytes;
-  for (std::size_t i = planned_reads_.size(); i-- > 0;) {
-    planned_reads_[i].payload_bytes = end - planned_reads_[i].ar.addr;
-    end = planned_reads_[i].ar.addr;
+  for (const Burst& b :
+       contiguous_bursts(addr, kDescriptorBytes, cfg_.bus_bytes)) {
+    plan_read(b.ax, b.payload_bytes, ReadKind::descriptor);
   }
 }
 
@@ -769,42 +704,51 @@ bool DmaEngine::read_side_drained() const {
   return !narrow_src || rd_narrow_next_ >= cur_.num_elems;
 }
 
-void DmaEngine::tick_ring() {
-  if (!ring_active_ || !transfer_active_) return;
+void DmaEngine::drop_fetch() {
+  fetching_desc_ = false;
+  desc_raw_.clear();
+  planned_reads_.clear();
+  next_read_ = 0;
+}
 
-  // Parse a prefetch whose beats have all arrived. The transfer path's
-  // tick_read() consumed them (routed by ReadKind), so the raw bytes are
-  // already assembled here.
-  if (fetching_desc_ && desc_raw_.size() == kDescriptorBytes &&
-      active_reads_.empty()) {
-    const auto d = parse_descriptor(desc_raw_.data());
-    fetching_desc_ = false;
-    desc_raw_.clear();
-    const std::uint64_t ordinal = ring_consumed_++;
-    if (!d.has_value()) {
-      ++stats_.malformed_descriptors;
-      ++stats_.error_descriptors;
-      ++retry_stats_.failed_ops;
-      ring_complete(ordinal, false);
-      ring_next_addr_ = 0;
-      // Later slots are rejected once the active transfer retires
-      // (tick_start's broken-ring path), keeping completions in order.
-    } else {
-      prefetched_ = *d;
-      prefetched_ordinal_ = ordinal;
-      has_prefetched_ = true;
-      ring_next_addr_ = d->next;
+void DmaEngine::take_descriptor() {
+  const std::optional<Descriptor> d = parse_descriptor(desc_raw_.data());
+  fetching_desc_ = false;
+  desc_raw_.clear();
+  // A fetch that overlaps a transfer is a ring prefetch; the transfer owns
+  // attempts_. A fetch that ran alone owned it and succeeded.
+  const bool prefetch = transfer_active_;
+  if (!prefetch) attempts_ = 0;
+  if (!d) {
+    // Malformed: an error completion, and the unreadable link ends the
+    // walk. A broken ring fails the slots published behind this one at
+    // once when idle, else once the active transfer retires (tick_start).
+    ++stats_.malformed_descriptors;
+    ++stats_.error_descriptors;
+    ++retry_stats_.failed_ops;
+    link_ = 0;
+    if (ring_active_) {
+      ring_complete(ring_consumed_++, false);
+      if (!prefetch) ring_reject_pending();
     }
+    return;
   }
-
-  // Start the next prefetch once the transfer's read side has fully
-  // drained: from here on plan_desc_fetch() may repurpose the read plan,
-  // and descriptor beats cannot interleave with data beats.
-  if (ring_cfg_.double_buffer && !fetching_desc_ && !has_prefetched_ &&
-      ring_next_addr_ != 0 && ring_consumed_ < ring_published_ &&
-      !retry_pending_ && read_side_drained()) {
-    fetching_desc_ = true;
-    plan_desc_fetch(ring_next_addr_);
+  if (!ring_active_) {
+    // A chain follows `next` only once this descriptor finishes.
+    link_ = 0;
+    cur_arrival_ = link_arrival_;
+    begin_transfer(*d);
+    return;
+  }
+  // A ring advances now, so its next slot can be prefetched.
+  link_ = d->next;
+  const std::uint64_t ordinal = ring_consumed_++;
+  if (prefetch) {
+    prefetched_ = *d;
+    prefetched_ordinal_ = ordinal;
+  } else {
+    cur_ring_ordinal_ = ordinal;
+    begin_transfer(*d);
   }
 }
 
@@ -818,73 +762,15 @@ void DmaEngine::tick() {
     retry_pending_ = false;
     last_progress_ = now_;
     if (fetching_desc_) {
-      plan_desc_fetch(desc_addr_);
+      plan_desc_fetch(link_);
     } else {
-      const Descriptor d = cur_;
-      reset_transfer();
-      begin_transfer(d);
+      begin_transfer(cur_);
     }
     return;
   }
 
   tick_start();
-
-  if (fetching_desc_ && !transfer_active_) {
-    issue_next_read();
-    if (const std::optional<axi::AxiR> r = port_.r.try_pop()) {
-      ++stats_.r_beats;
-      last_progress_ = now_;
-      assert(!active_reads_.empty());
-      ActiveRead& act = active_reads_.front();
-      consume_read_payload(*r, act);
-      if (r->last) {
-        active_reads_.pop_front();
-        assert(outstanding_reads_ > 0);
-        --outstanding_reads_;
-      }
-    }
-    tick_timeout();
-    if (fault_) {
-      if (fault_drained()) resolve_fault();
-      return;
-    }
-    if (desc_raw_.size() == kDescriptorBytes && active_reads_.empty()) {
-      const auto d = parse_descriptor(desc_raw_.data());
-      fetching_desc_ = false;
-      attempts_ = 0;
-      desc_raw_.clear();
-      if (ring_active_) {
-        const std::uint64_t ordinal = ring_consumed_++;
-        if (!d.has_value()) {
-          // Malformed ring slot: the link is unreadable, so the walk
-          // cannot continue — fail this slot and break the ring.
-          ++stats_.malformed_descriptors;
-          ++stats_.error_descriptors;
-          ++retry_stats_.failed_ops;
-          ring_complete(ordinal, false);
-          ring_next_addr_ = 0;
-          ring_reject_pending();
-        } else {
-          ring_next_addr_ = d->next;
-          cur_ring_ordinal_ = ordinal;
-          begin_transfer(*d);
-        }
-      } else if (!d.has_value()) {
-        // Malformed chain entry: error completion, chain terminated. A
-        // register-programmed chain head that points at garbage lands
-        // here too — no UB, just a recorded failure.
-        ++stats_.malformed_descriptors;
-        ++stats_.error_descriptors;
-        ++retry_stats_.failed_ops;
-      } else {
-        cur_arrival_ = fetch_arrival_;
-        begin_transfer(*d);
-      }
-    }
-    return;
-  }
-
-  if (!transfer_active_) return;
+  if (!transfer_active_ && !fetching_desc_) return;
   tick_read();
   tick_write();
   tick_timeout();
@@ -894,21 +780,32 @@ void DmaEngine::tick() {
     return;
   }
 
-  tick_ring();
+  if (fetching_desc_ && desc_raw_.size() == kDescriptorBytes &&
+      active_reads_.empty()) {
+    // A descriptor fetched while idle starts its transfer next cycle.
+    const bool prefetch = transfer_active_;
+    take_descriptor();
+    if (!prefetch) return;
+  }
+  if (!transfer_active_) return;
 
-  // Transfer completion check.
-  const bool reads_planned_done = next_read_ >= planned_reads_.size();
-  const bool src_irregular = cur_.src.kind != Pattern::Kind::contiguous;
-  const bool narrow_src = !cfg_.use_pack && src_irregular;
-  const bool reads_done =
-      reads_planned_done && active_reads_.empty() &&
-      (!narrow_src || rd_narrow_next_ >= cur_.num_elems);
-  const bool dst_irregular = cur_.dst.kind != Pattern::Kind::contiguous;
-  const bool narrow_dst = !cfg_.use_pack && dst_irregular;
+  // Ring prefetch: fetch the next slot once the transfer's read side has
+  // fully drained. From then on plan_desc_fetch() may repurpose the read
+  // plan, and descriptor beats cannot interleave with data beats.
+  if (ring_active_ && !fetching_desc_ && !prefetched_ && link_ != 0 &&
+      ring_consumed_ < ring_published_ && read_side_drained()) {
+    fetching_desc_ = true;
+    plan_desc_fetch(link_);
+  }
+
+  // Transfer completion check (an in-flight prefetch holds it back: its
+  // bursts keep the read side busy).
+  const bool narrow_dst =
+      !cfg_.use_pack && cur_.dst.kind != Pattern::Kind::contiguous;
   const bool writes_done =
       narrow_dst ? wr_narrow_next_ >= cur_.num_elems
                  : w_burst_ >= planned_writes_.size();
-  if (reads_done && writes_done && outstanding_writes_ == 0) {
+  if (read_side_drained() && writes_done && outstanding_writes_ == 0) {
     assert(buffer_.empty());
     finish_transfer();
   }

@@ -10,31 +10,36 @@
 // conventional DMA — the inefficiency the paper quantifies. Read and write
 // sides stream through an internal word buffer and overlap.
 //
-// Descriptors come from either of two sources, as on real engines:
-//  * register programming — the host pushes Descriptor structs directly;
-//  * memory chains — start_chain(addr) makes the engine fetch descriptors
-//    over its own AXI port (plain INCR bursts) and follow `next` links.
-//    A register-programmed descriptor with a nonzero `next` likewise
-//    continues into an in-memory chain.
+// Descriptors reach the engine two ways, as on real engines:
+//  * register programming — push() queues Descriptor structs directly;
+//    they never touch the bus;
+//  * in-memory links — the engine fetches 64-byte descriptors over its own
+//    AXI port (plain INCR bursts) and follows their `next` links. One
+//    cursor holds the address of the next descriptor to fetch. It is set
+//    by start_chain(head) once the chain reaches the head of the queue, by
+//    a finished register descriptor with a nonzero `next`, and by
+//    start_ring(head).
+//
+// Chains and rings are the same link walk and differ only in where the
+// links end:
+//  * a chain follows `next` once each descriptor finishes, never
+//    prefetches, and ends at a zero link or an error completion;
+//  * a ring's links close the loop. The producer hands over slots with
+//    publish() (a doorbell: "n more descriptors are valid") and the engine
+//    raises a completion event per slot. It prefetches the next slot while
+//    the current transfer's write side drains, hiding the fetch latency,
+//    and a transfer that errors fails only its own slot.
 //
 // Constraints (asserted): addresses and strides are word-aligned; in narrow
 // (non-pack) mode irregular elements must also be element-size-aligned, as
 // a single narrow AXI beat cannot cross its size container. Source and
 // destination ranges of one descriptor must not overlap.
-// A third descriptor source is the ring mode used by the open-loop traffic
-// subsystem (and by real streaming engines): start_ring() points the engine
-// at a circular chain of in-memory descriptors whose `next` links close the
-// loop. The producer publishes slots with publish() (a doorbell: "n more
-// descriptors are valid") and the engine follows the links continuously,
-// raising a completion event per descriptor. In double-buffer mode the next
-// descriptor is prefetched while the current transfer's write side drains,
-// hiding the fetch latency; single-buffer mode serializes fetch and
-// transfer like the simplest hardware engines.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "axi/types.hpp"
@@ -79,13 +84,6 @@ struct DmaStats {
   std::uint64_t queue_peak = 0;
 };
 
-/// Circular descriptor chain configuration for ring mode.
-struct RingConfig {
-  std::uint64_t head_addr = 0;  ///< first slot; links must close the loop
-  /// Prefetch the next descriptor while the current transfer drains.
-  bool double_buffer = true;
-};
-
 class DmaEngine final : public sim::Component {
  public:
   /// The engine masters `port` (pushes AR/AW/W, pops R/B). It never touches
@@ -98,11 +96,12 @@ class DmaEngine final : public sim::Component {
   /// Appends an in-memory descriptor chain starting at `head`.
   void start_chain(std::uint64_t head);
 
-  /// Enters ring mode: the engine follows the circular descriptor chain at
-  /// `rc.head_addr`, executing one descriptor per publish() credit and
-  /// raising a completion event per descriptor. Exclusive with push() /
+  /// Enters ring mode: the engine follows the circular descriptor chain
+  /// whose first slot is at `head` (the links must close the loop),
+  /// executing one descriptor per publish() credit and raising a
+  /// completion event per descriptor. Exclusive with push() /
   /// start_chain() until stop_ring(). Requires idle().
-  void start_ring(const RingConfig& rc);
+  void start_ring(std::uint64_t head);
   /// Doorbell: `n` more ring slots hold valid descriptors. Completions are
   /// per-ordinal (0-based, in publish order). A broken ring (malformed
   /// slot, zero link, or a fetch whose retries exhaust) fail-completes
@@ -131,15 +130,15 @@ class DmaEngine final : public sim::Component {
 
   void tick() override;
   /// idle() implies nothing is in flight (no descriptors, reads, writes or
-  /// fetches); only push()/start_chain() — which wake us — create work.
+  /// fetches) and no link is left to walk; only push(), start_chain(),
+  /// start_ring() and publish() — which all wake us — create work.
   bool quiescent() const override { return idle(); }
 
  private:
-  /// Source of the next descriptor to execute.
+  /// One queued register descriptor, or the head of an in-memory chain.
   struct PendingDesc {
-    Descriptor desc;         ///< valid when !from_memory
-    std::uint64_t addr = 0;  ///< valid when from_memory
-    bool from_memory = false;
+    Descriptor desc;            ///< valid when chain == 0
+    std::uint64_t chain = 0;    ///< chain head address; 0: register desc
     std::uint64_t arrival = 0;  ///< engine clock when queued (latency stamp)
   };
 
@@ -173,7 +172,9 @@ class DmaEngine final : public sim::Component {
   void tick_read();     ///< AR issue + R receive
   void tick_write();    ///< AW/W issue + B receive
   void tick_timeout();  ///< progress watchdog
-  void tick_ring();     ///< double-buffer prefetch start/parse
+  /// Parses a completed descriptor fetch and dispatches it: the one place
+  /// fetched bytes become a descriptor, malformed ones included.
+  void take_descriptor();
   void finish_transfer();
 
   // Ring-mode helpers.
@@ -185,9 +186,13 @@ class DmaEngine final : public sim::Component {
   /// plan_desc_fetch() may safely repurpose the read plan for a prefetch.
   bool read_side_drained() const;
 
+  void enqueue(const PendingDesc& p);
   void begin_transfer(const Descriptor& d);
+  void plan_read(const axi::AxiAr& ar, std::uint64_t payload_bytes,
+                 ReadKind kind);
   void plan_index_fetch(const Pattern& p);
   void plan_desc_fetch(std::uint64_t addr);
+  void drop_fetch();  ///< abandons the descriptor fetch in progress
   void consume_read_payload(const axi::AxiR& r, ActiveRead& act);
 
   // Fault handling. A detected fault (error response, truncated burst,
@@ -236,29 +241,27 @@ class DmaEngine final : public sim::Component {
   std::vector<std::uint8_t> idx_raw_;  ///< bytes of the array being fetched
   bool idx_fetch_src_ = false;         ///< current fetch fills idx_src_
 
-  // Descriptor fetch state.
+  // Link walk: the next in-memory descriptor to fetch (0: none). A fetch
+  // in progress (or awaiting retry) is always of this address.
+  std::uint64_t link_ = 0;
+  std::uint64_t link_arrival_ = 0;  ///< latency stamp of a chain's link
   bool fetching_desc_ = false;
   std::vector<std::uint8_t> desc_raw_;
-  std::uint64_t desc_addr_ = 0;  ///< chain address being fetched (for retry)
 
   // Ring mode (all inert unless start_ring() was called).
   static constexpr std::uint64_t kNoOrdinal = ~0ull;
   bool ring_active_ = false;
-  RingConfig ring_cfg_;
-  std::uint64_t ring_next_addr_ = 0;  ///< next slot to fetch; 0: ring broken
   std::uint64_t ring_published_ = 0;  ///< doorbell credits (cumulative)
   std::uint64_t ring_consumed_ = 0;   ///< descriptors fetched+parsed
   std::uint64_t ring_completed_ = 0;  ///< completion events raised
-  bool has_prefetched_ = false;       ///< prefetched_ holds a parsed slot
-  Descriptor prefetched_;
+  std::optional<Descriptor> prefetched_;  ///< parsed slot awaiting start
   std::uint64_t prefetched_ordinal_ = 0;
   std::uint64_t cur_ring_ordinal_ = kNoOrdinal;  ///< of the active transfer
   std::function<void(std::uint64_t, bool)> completion_;
 
   // Latency stamps (engine clock; deltas equal wall-cycle deltas because
   // the engine never sleeps while a descriptor is in flight).
-  std::uint64_t cur_arrival_ = 0;    ///< queue-entry stamp of cur_
-  std::uint64_t fetch_arrival_ = 0;  ///< stamp carried through a fetch
+  std::uint64_t cur_arrival_ = 0;  ///< queue-entry stamp of cur_
   util::Histogram latency_;
 
   // Fault-handling state (all inert in fault-free runs).

@@ -48,7 +48,11 @@ class SystemBuilder {
   SystemBuilder& bus_bits(unsigned bits);
   /// Simulated memory window (base address and size in bytes).
   SystemBuilder& mem_region(std::uint64_t base, std::uint64_t size);
-  /// Adapter decoupling-queue depth (see SystemConfig for the RTL mapping).
+  /// Adapter decoupling-queue depth (default 8). The paper's RTL uses
+  /// depth 4; our word path crosses two more registered FIFO hops each way
+  /// (port mux request and response stages are combinational in the RTL),
+  /// so depth 8 covers the same bank round trip the RTL's depth 4 does.
+  /// See bench/ablation_queue_depth for the sensitivity.
   SystemBuilder& queue_depth(unsigned depth);
   /// Monitored link + protocol checker in front of the adapter (default on).
   SystemBuilder& monitor(bool on);

@@ -9,9 +9,26 @@ namespace axipack::sys {
 
 namespace {
 
+/// One of the paper's SoCs: a single processor master in the kind's VLSU
+/// mode over the banked memory (IDEAL's processor takes no AXI port). The
+/// memory window, 1-cycle SRAM and depth-8 queues are the builder's
+/// defaults.
 SystemBuilder soc_builder(SystemKind kind, unsigned bus_bits,
                           unsigned banks) {
-  return SystemConfig::make(kind, bus_bits, banks).to_builder();
+  SystemBuilder b;
+  b.bus_bits(bus_bits).banks(banks);
+  switch (kind) {
+    case SystemKind::base:
+      b.attach_processor(vproc::VlsuMode::base);
+      break;
+    case SystemKind::pack:
+      b.attach_processor(vproc::VlsuMode::pack);
+      break;
+    case SystemKind::ideal:
+      b.attach_processor(vproc::VlsuMode::ideal);
+      break;
+  }
+  return b;
 }
 
 /// Parses a decimal number from `s` starting at `pos`; advances `pos` past
@@ -63,6 +80,15 @@ void attach_extra_masters(SystemBuilder& b, SystemKind kind,
 }
 
 }  // namespace
+
+const char* system_name(SystemKind k) {
+  switch (k) {
+    case SystemKind::base: return "base";
+    case SystemKind::pack: return "pack";
+    case SystemKind::ideal: return "ideal";
+  }
+  return "?";
+}
 
 std::string scenario_name(SystemKind kind, unsigned bus_bits,
                           unsigned banks) {

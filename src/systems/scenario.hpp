@@ -43,6 +43,7 @@
 // a name to its builder and inspects the resulting memory backend.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -50,9 +51,19 @@
 #include <vector>
 
 #include "systems/builder.hpp"
-#include "systems/config.hpp"
 
 namespace axipack::sys {
+
+/// The paper's three evaluation SoCs (§III-A):
+///   base  — unmodified Ara over plain AXI4 to the banked memory
+///   pack  — AXI-Pack-extended Ara, bus and controller
+///   ideal — Ara on an exclusive ideal memory, one port per lane
+/// All three share one processor and memory parameterization: lanes scale
+/// with the bus width (as in Figs. 3d/3e), a 17-bank word memory by
+/// default, and adapter decoupling queues of depth 8.
+enum class SystemKind : std::uint8_t { base, pack, ideal };
+
+const char* system_name(SystemKind k);
 
 struct Scenario {
   std::string name;

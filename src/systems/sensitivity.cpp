@@ -6,52 +6,12 @@
 #include "axi/burst.hpp"
 #include "axi/types.hpp"
 #include "systems/builder.hpp"
+#include "systems/stream_requestor.hpp"
 #include "systems/sweep.hpp"
 #include "systems/system.hpp"
 #include "util/rng.hpp"
 
 namespace axipack::sys {
-
-namespace {
-
-/// The ideal requestor of §III-E as a gate-safe component: pushes the
-/// prepared AR stream (one request per cycle, as AR-channel handshaking
-/// allows) and drains/accounts R beats. Quiescent once all requests are
-/// out — from then on only R traffic (subscribed) re-activates it.
-class StreamRequestor final : public sim::Component {
- public:
-  StreamRequestor(sim::Kernel& k, axi::AxiPort& port,
-                  std::vector<axi::AxiAr> ars)
-      : port_(port), ars_(std::move(ars)) {
-    for (const axi::AxiAr& ar : ars_) beats_left_ += ar.beats();
-    k.add(*this);
-    k.subscribe(*this, port_.r);
-  }
-
-  void tick() override {
-    if (next_ar_ < ars_.size() && port_.ar.try_push(ars_[next_ar_])) {
-      ++next_ar_;
-    }
-    while (const auto beat = port_.r.try_pop()) {
-      payload_bytes_ += beat->useful_bytes;
-      --beats_left_;
-    }
-  }
-
-  bool quiescent() const override { return next_ar_ >= ars_.size(); }
-
-  bool done() const { return beats_left_ == 0; }
-  std::uint64_t payload_bytes() const { return payload_bytes_; }
-
- private:
-  axi::AxiPort& port_;
-  std::vector<axi::AxiAr> ars_;
-  std::size_t next_ar_ = 0;
-  std::uint64_t beats_left_ = 0;
-  std::uint64_t payload_bytes_ = 0;
-};
-
-}  // namespace
 
 SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
   constexpr std::uint64_t kBase = 0x8000'0000ull;

@@ -35,7 +35,6 @@ struct TrafficConfig {
   /// stream (pack vs narrow is what separates the open-loop systems).
   dma::DmaConfig dma;
   unsigned ring_slots = 64;  ///< descriptor-ring size (>= 2)
-  bool double_buffer = true; ///< engine prefetches the next slot
   unsigned elems_per_req = 64;     ///< 32-bit words gathered per request
   unsigned pool_reqs = 256;        ///< distinct index/dst slot groups
   std::uint64_t data_words = 1ull << 16;  ///< gather footprint in words

@@ -52,6 +52,7 @@ struct Snapshot {
   bool degraded = false;
   std::uint64_t dma_bytes_moved = 0;
   std::uint64_t dma_busy_cycles = 0;
+  std::uint64_t dma_desc_fetch_bytes = 0;
 
   static Snapshot of(const sys::RunResult& r) {
     Snapshot s;
@@ -121,19 +122,31 @@ void expect_identical(const Snapshot& naive, const Snapshot& gated,
   EXPECT_EQ(naive.degraded, gated.degraded) << what;
   EXPECT_EQ(naive.dma_bytes_moved, gated.dma_bytes_moved) << what;
   EXPECT_EQ(naive.dma_busy_cycles, gated.dma_busy_cycles) << what;
+  EXPECT_EQ(naive.dma_desc_fetch_bytes, gated.dma_desc_fetch_bytes) << what;
+}
+
+/// Value of word `i` of chain link `link` of DMA master `id`.
+std::uint32_t chain_word(sys::MasterId id, std::uint64_t link,
+                         std::uint64_t i) {
+  return (id << 20) + static_cast<std::uint32_t>(((link + 1) << 12) + i);
 }
 
 /// Drives one scenario to completion under the requested kernel mode:
-/// processor masters run a small gemv, DMA masters move a strided stream.
+/// processor masters run a small gemv, DMA masters move a strided stream
+/// and then walk a 3-link in-memory descriptor chain.
 Snapshot drive_scenario(const std::string& name, bool naive) {
   sys::SystemBuilder builder =
       sys::ScenarioRegistry::instance().builder(name);
   builder.naive_kernel(naive);
   std::unique_ptr<sys::System> system = builder.build();
 
-  // Seed each DMA master with a deterministic strided->contiguous move.
+  // Seed each DMA master with a deterministic strided->contiguous move
+  // (register-programmed) and a chain of contiguous copies behind it.
   std::vector<std::uint64_t> dma_dsts;
+  std::vector<std::uint64_t> chain_dsts;
   constexpr std::uint64_t kDmaElems = 192;
+  constexpr std::uint64_t kChainLinks = 3;
+  constexpr std::uint64_t kChainElems = 48;
   for (sys::MasterId id = 0; id < system->num_masters(); ++id) {
     if (!system->is_dma(id)) continue;
     mem::BackingStore& store = system->store();
@@ -152,6 +165,23 @@ Snapshot drive_scenario(const std::string& name, bool naive) {
     d.num_elems = kDmaElems;
     system->dma(id).push(d);
     dma_dsts.push_back(dst);
+
+    std::vector<dma::Descriptor> chain;
+    for (std::uint64_t k = 0; k < kChainLinks; ++k) {
+      const std::uint64_t csrc = store.alloc(kChainElems * 4, 64);
+      const std::uint64_t cdst = store.alloc(kChainElems * 4, 64);
+      for (std::uint64_t i = 0; i < kChainElems; ++i) {
+        store.write_u32(csrc + 4 * i, chain_word(id, k, i));
+      }
+      dma::Descriptor c;
+      c.src = dma::Pattern::contiguous(csrc);
+      c.dst = dma::Pattern::contiguous(cdst);
+      c.elem_bytes = 4;
+      c.num_elems = kChainElems;
+      chain.push_back(c);
+      chain_dsts.push_back(cdst);
+    }
+    system->dma(id).start_chain(dma::build_chain(store, chain));
   }
 
   Snapshot snap;
@@ -176,10 +206,21 @@ Snapshot drive_scenario(const std::string& name, bool naive) {
     if (!system->is_dma(id)) continue;
     snap.dma_bytes_moved += system->dma(id).stats().bytes_moved;
     snap.dma_busy_cycles += system->dma(id).stats().busy_cycles;
+    snap.dma_desc_fetch_bytes += system->dma(id).stats().desc_fetch_bytes;
+    EXPECT_EQ(system->dma(id).stats().descriptors_done, 1 + kChainLinks)
+        << name << " dma " << id;
     for (std::uint64_t i = 0; i < kDmaElems; ++i) {
       EXPECT_EQ(system->store().read_u32(dma_dsts[d] + 4 * i),
                 (id << 20) + i)
           << name << " dma " << id << " elem " << i;
+    }
+    for (std::uint64_t k = 0; k < kChainLinks; ++k) {
+      for (std::uint64_t i = 0; i < kChainElems; ++i) {
+        EXPECT_EQ(
+            system->store().read_u32(chain_dsts[d * kChainLinks + k] + 4 * i),
+            chain_word(id, k, i))
+            << name << " dma " << id << " link " << k << " elem " << i;
+      }
     }
     ++d;
   }
