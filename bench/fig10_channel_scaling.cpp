@@ -10,11 +10,8 @@
 // where channels catch up with the masters' sink rate; the DRAM mapping
 // moves the curve only marginally (streams are row-friendly under all
 // three mappings once split per channel).
-#include <string>
-
 #include "bench_common.hpp"
 #include "mem/dram_timing.hpp"
-#include "systems/channel_sweep.hpp"
 
 namespace {
 
@@ -36,68 +33,12 @@ void emit(bench::BenchContext& ctx) {
                         mapping_value(mem::DramMapping::bank_interleaved),
                         mapping_value(mem::DramMapping::row_interleaved)})
       .runner([](const sys::GridPoint& p) {
-        sys::ChannelScalingConfig cfg;
-        cfg.channels = static_cast<unsigned>(p.param("channels"));
-        cfg.masters = static_cast<unsigned>(p.param("masters"));
-        cfg.mapping = static_cast<mem::DramMapping>(
-            static_cast<int>(p.param("mapping")));
         // Quick streams still span every channel (8 granules per master).
-        cfg.bytes_per_master = p.quick ? 32 * 1024 : 256 * 1024;
-        const sys::ChannelScalingResult r =
-            sys::measure_channel_scaling(cfg);
-        sys::PointResult out;
-        out.metrics["agg_r_util"] = r.agg_r_util;
-        out.metrics["cycles"] = static_cast<double>(r.cycles);
-        double min_ch = 0.0, max_ch = 0.0;
-        std::uint64_t hits = 0, misses = 0;
-        for (std::size_t c = 0; c < r.per_channel_r_util.size(); ++c) {
-          const double u = r.per_channel_r_util[c];
-          if (c == 0 || u < min_ch) min_ch = u;
-          if (c == 0 || u > max_ch) max_ch = u;
-          hits += r.per_channel_row_hits[c];
-          misses += r.per_channel_row_misses[c];
-        }
-        out.metrics["min_ch_r_util"] = min_ch;
-        out.metrics["max_ch_r_util"] = max_ch;
-        out.metrics["row_hit_ratio"] =
-            hits + misses == 0
-                ? 0.0
-                : static_cast<double>(hits) / static_cast<double>(hits + misses);
-        return out;
+        return sys::channel_scaling_point(p,
+                                          p.quick ? 32 * 1024 : 256 * 1024);
       });
   sys::ResultSet set = ctx.prepare(spec).run();
-
-  // Derived metrics joined across the channel axis: scaling vs the
-  // 1-channel partner, and the saturation knee of each (masters, mapping)
-  // curve — the largest channel count whose doubling step still gained
-  // >= 30% aggregate utilization (stamped on every row of the curve).
-  auto& rows = set.mutable_rows();
-  const auto find_util = [&](const sys::ResultRow& like,
-                             const std::string& channels) -> double {
-    for (const auto& r : rows) {
-      if (r.coord("channels") == channels &&
-          r.coord("masters") == like.coord("masters") &&
-          r.coord("mapping") == like.coord("mapping")) {
-        return r.metrics.at("agg_r_util");
-      }
-    }
-    return 0.0;
-  };
-  for (auto& row : rows) {
-    const double base = find_util(row, "1");
-    if (base > 0.0) {
-      row.metrics["scaling_vs_1ch"] = row.metrics.at("agg_r_util") / base;
-    }
-  }
-  for (auto& row : rows) {
-    double knee = 1.0;
-    for (const unsigned c : {2u, 4u, 8u}) {
-      const double prev = find_util(row, std::to_string(c / 2));
-      const double cur = find_util(row, std::to_string(c));
-      if (prev > 0.0 && cur >= 1.3 * prev) knee = c;
-    }
-    row.metrics["knee_channels"] = knee;
-  }
+  sys::stamp_channel_scaling(set);
   ctx.report(std::move(set));
 
   std::printf("\nexpected shape: aggregate R-util tracks min(masters, "

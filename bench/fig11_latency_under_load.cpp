@@ -12,12 +12,9 @@
 // systems move that knee to a 2x higher rate than the narrow baseline at
 // the same p99 SLO (<= 5000 cycles) — the headline this bench gates on,
 // stamped per curve as `knee_rate`.
-#include <cstdint>
 #include <string>
 
 #include "bench_common.hpp"
-#include "systems/scenario.hpp"
-#include "systems/system.hpp"
 
 namespace {
 
@@ -46,52 +43,16 @@ void emit(bench::BenchContext& ctx) {
                                     "pack-256-dram-x512-g16")})
       .param_axis("channels", "channels", {1, 2})
       .runner([](const sys::GridPoint& p) {
-        const unsigned rate = static_cast<unsigned>(p.param("rate"));
-        const unsigned channels =
-            static_cast<unsigned>(p.param("channels"));
-        std::string name = p.scenario;
-        if (channels > 1) name += "-ch" + std::to_string(channels);
-        name += "-p" + std::to_string(rate);
-        auto system = sys::ScenarioRegistry::instance().builder(name).build();
-        sys::PointResult out;
         // 400k measured cycles keep >= ~80 window completions at the
         // lowest rate; --quick trades tail resolution for wall clock.
-        out.run = system->run_open_loop(p.quick ? 60'000 : 400'000);
-        out.metrics["latency_p50"] = out.run.latency.percentile(50);
-        out.metrics["latency_p95"] = out.run.latency.percentile(95);
-        out.metrics["latency_p99"] = out.run.latency.percentile(99);
-        out.metrics["offered_rate"] = out.run.offered_rate;
-        out.metrics["achieved_rate"] = out.run.achieved_rate;
-        out.metrics["queue_peak"] =
-            static_cast<double>(out.run.queue_peak);
-        return out;
+        return sys::open_loop_point(p, p.quick ? 60'000 : 400'000);
       });
   sys::ResultSet set = ctx.prepare(spec).run();
-
-  // Knee enrichment, joined across the rate axis: each (system, channels)
-  // curve's knee is the highest swept rate still meeting the p99 SLO,
-  // stamped on every row of the curve (0 when even the lowest rate
-  // misses). The headline ratio knee(coalesce) / knee(base-dram) is the
-  // floor perf_kernel gates on.
-  auto& rows = set.mutable_rows();
-  const auto curve_knee = [&](const sys::ResultRow& like) -> double {
-    double knee = 0.0;
-    for (const auto& r : rows) {
-      if (r.coord("system") != like.coord("system") ||
-          r.coord("channels") != like.coord("channels")) {
-        continue;
-      }
-      const double rate = r.metrics.at("offered_rate");
-      if (r.metrics.at("latency_p99") <= kSloP99 && rate > knee) {
-        knee = rate;
-      }
-    }
-    return knee;
-  };
-  for (auto& row : rows) {
-    row.metrics["slo_p99"] = kSloP99;
-    row.metrics["knee_rate"] = curve_knee(row);
-  }
+  // Each (system, channels) curve's knee is the highest swept rate still
+  // meeting the p99 SLO, stamped on every row of the curve (0 when even
+  // the lowest rate misses). The headline ratio knee(coalesce) /
+  // knee(base-dram) is the floor perf_kernel gates on.
+  sys::stamp_open_loop_knees(set, kSloP99);
   ctx.report(std::move(set));
 
   std::printf(

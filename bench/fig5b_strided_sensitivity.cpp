@@ -15,7 +15,7 @@ using namespace axipack;
 void emit(bench::BenchContext& ctx) {
   bench::figure_header("Fig. 5b",
                        "strided read utilization (avg over strides 0..63)");
-  auto spec =
+  const auto spec =
       sys::ExperimentSpec("fig5b")
           .param_axis("elem_bits", "elem_bits", {32, 64, 128, 256})
           .param_axis("banks", "banks", {8, 11, 16, 17, 31, 32})
@@ -28,12 +28,7 @@ void emit(bench::BenchContext& ctx) {
                 /*max_stride=*/p.quick ? 15 : 63);
             return out;
           });
-  // strided_util_avg fans its per-stride runs over its own thread pool,
-  // so the outer grid stays serial — pinned after prepare() so a --threads
-  // flag cannot reintroduce nested pools.
-  ctx.prepare(spec);
-  spec.threads(1);
-  const auto& results = ctx.report(spec.run());
+  const auto& results = ctx.run(spec);
   double util17_sum = 0.0;
   int util17_count = 0;
   for (const sys::ResultRow& row : results.rows()) {

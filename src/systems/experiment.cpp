@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "mem/backend.hpp"
+#include "systems/channel_sweep.hpp"
 #include "systems/sweep.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
@@ -563,6 +564,108 @@ std::string ResultSet::to_json() const {
   util::JsonWriter w;
   write_json(w);
   return w.str();
+}
+
+// ------------------------------------------------------ point runners
+
+namespace {
+
+/// Key of the curve `row` lies on: its coords without `axis`.
+std::string curve_key(const ResultRow& row, const std::string& axis) {
+  auto coords = row.point.coords;
+  std::erase_if(coords, [&](const auto& c) { return c.first == axis; });
+  return coord_key(coords);
+}
+
+}  // namespace
+
+PointResult open_loop_point(const GridPoint& p, sim::Cycle window) {
+  std::string name = p.scenario;
+  const auto channels = p.params.find("channels");
+  if (channels != p.params.end() && channels->second > 1) {
+    name += "-ch" + fmt_num(channels->second);
+  }
+  name += "-p" + fmt_num(p.param("rate"));
+  SystemBuilder builder = ScenarioRegistry::instance().builder(name);
+  for (const auto& patch : p.builder_patches) patch(builder);
+  PointResult out;
+  out.run = builder.build()->run_open_loop(window);
+  out.metrics["latency_p50"] = out.run.latency.percentile(50);
+  out.metrics["latency_p95"] = out.run.latency.percentile(95);
+  out.metrics["latency_p99"] = out.run.latency.percentile(99);
+  out.metrics["offered_rate"] = out.run.offered_rate;
+  out.metrics["achieved_rate"] = out.run.achieved_rate;
+  out.metrics["queue_peak"] = static_cast<double>(out.run.queue_peak);
+  return out;
+}
+
+void stamp_open_loop_knees(ResultSet& set, double slo_p99) {
+  std::map<std::string, double> knees;
+  for (const ResultRow& row : set.rows()) {
+    double& knee = knees[curve_key(row, "rate")];
+    const double rate = row.metrics.at("offered_rate");
+    if (row.metrics.at("latency_p99") <= slo_p99 && rate > knee) knee = rate;
+  }
+  for (ResultRow& row : set.mutable_rows()) {
+    row.metrics["slo_p99"] = slo_p99;
+    row.metrics["knee_rate"] = knees[curve_key(row, "rate")];
+  }
+}
+
+PointResult channel_scaling_point(const GridPoint& p,
+                                  std::uint64_t bytes_per_master) {
+  ChannelScalingConfig cfg;
+  cfg.channels = static_cast<unsigned>(p.param("channels"));
+  cfg.masters = static_cast<unsigned>(p.param("masters"));
+  if (p.params.count("mapping") != 0) {
+    cfg.mapping = static_cast<mem::DramMapping>(
+        static_cast<int>(p.param("mapping")));
+  }
+  cfg.bytes_per_master = bytes_per_master;
+  const ChannelScalingResult r = measure_channel_scaling(cfg);
+  PointResult out;
+  out.metrics["agg_r_util"] = r.agg_r_util;
+  out.metrics["cycles"] = static_cast<double>(r.cycles);
+  double min_ch = 0.0, max_ch = 0.0;
+  std::uint64_t hits = 0, misses = 0;
+  for (std::size_t c = 0; c < r.per_channel_r_util.size(); ++c) {
+    const double u = r.per_channel_r_util[c];
+    if (c == 0 || u < min_ch) min_ch = u;
+    if (c == 0 || u > max_ch) max_ch = u;
+    hits += r.per_channel_row_hits[c];
+    misses += r.per_channel_row_misses[c];
+  }
+  out.metrics["min_ch_r_util"] = min_ch;
+  out.metrics["max_ch_r_util"] = max_ch;
+  out.metrics["row_hit_ratio"] =
+      hits + misses == 0
+          ? 0.0
+          : static_cast<double>(hits) / static_cast<double>(hits + misses);
+  return out;
+}
+
+void stamp_channel_scaling(ResultSet& set) {
+  // curve -> channel-count label -> aggregate utilization
+  std::map<std::string, std::map<std::string, double>> util;
+  for (const ResultRow& row : set.rows()) {
+    util[curve_key(row, "channels")][row.coord("channels")] =
+        row.metrics.at("agg_r_util");
+  }
+  for (ResultRow& row : set.mutable_rows()) {
+    const auto& curve = util[curve_key(row, "channels")];
+    const auto at = [&curve](unsigned channels) {
+      const auto it = curve.find(std::to_string(channels));
+      return it == curve.end() ? 0.0 : it->second;
+    };
+    if (at(1) > 0.0) {
+      row.metrics["scaling_vs_1ch"] = row.metrics.at("agg_r_util") / at(1);
+    }
+    double knee = 1.0;
+    for (const unsigned c : {2u, 4u, 8u}) {
+      if (at(c / 2) > 0.0 && at(c) >= 1.3 * at(c / 2)) knee = c;
+    }
+    row.metrics["knee_channels"] = knee;
+  }
 }
 
 }  // namespace axipack::sys

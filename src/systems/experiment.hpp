@@ -259,4 +259,32 @@ class ExperimentSpec {
   std::function<PointResult(const GridPoint&)> runner_;
 };
 
+// ---- point runners shared by the benches and perf_kernel -------------
+
+/// Open-loop latency point: builds "{scenario}[-ch{C}]-p{R}" from the
+/// point's "rate" and (when swept) "channels" params, applies the point's
+/// builder patches, runs `window` measured cycles with
+/// System::run_open_loop and reports latency_p50/p95/p99, offered_rate,
+/// achieved_rate and queue_peak alongside the run.
+PointResult open_loop_point(const GridPoint& p, sim::Cycle window);
+
+/// Stamps slo_p99 and knee_rate on every row of an open-loop set: a
+/// curve is the rows sharing every coord but "rate", and its knee is the
+/// highest offered rate whose p99 met `slo_p99` (0 when none did).
+void stamp_open_loop_knees(ResultSet& set, double slo_p99);
+
+/// Channel-scaling point over measure_channel_scaling: reads the point's
+/// "channels" and "masters" params (and "mapping", a mem::DramMapping
+/// value, when swept; permuted otherwise), streams `bytes_per_master` per
+/// master and reports agg_r_util, cycles, min/max_ch_r_util and the
+/// aggregate row_hit_ratio as metrics.
+PointResult channel_scaling_point(const GridPoint& p,
+                                  std::uint64_t bytes_per_master);
+
+/// Stamps scaling_vs_1ch (against the 1-channel partner) and
+/// knee_channels (the largest channel count whose doubling step still
+/// gained >= 30% aggregate utilization) on every row of a channel-scaling
+/// set; a curve is the rows sharing every coord but "channels".
+void stamp_channel_scaling(ResultSet& set);
+
 }  // namespace axipack::sys

@@ -67,7 +67,6 @@ std::vector<RunResult> run_workloads(const std::vector<WorkloadJob>& jobs,
   for (const WorkloadJob& job : jobs) {
     SystemBuilder b = ScenarioRegistry::instance().builder(job.scenario);
     if (job.builder_patch) job.builder_patch(b);
-    if (job.naive_kernel) b.naive_kernel(true);
     builders.push_back(std::move(b));
   }
   (void)mem::BackendRegistry::instance();  // pre-warm before the pool

@@ -63,10 +63,9 @@ RunResult run_default(wl::KernelKind kernel, SystemKind kind,
 struct WorkloadJob {
   std::string scenario;
   wl::WorkloadConfig cfg;
-  bool naive_kernel = false;  ///< run this point on the ungated kernel
   /// Optional builder tweak applied after the scenario resolves (timing
-  /// overrides, knob sweeps — anything the scenario-name grammar cannot
-  /// express).
+  /// overrides, knob sweeps, the naive kernel — anything the
+  /// scenario-name grammar cannot express).
   std::function<void(SystemBuilder&)> builder_patch;
 };
 

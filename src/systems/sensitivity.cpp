@@ -7,7 +7,6 @@
 #include "axi/types.hpp"
 #include "systems/builder.hpp"
 #include "systems/stream_requestor.hpp"
-#include "systems/sweep.hpp"
 #include "systems/system.hpp"
 #include "util/rng.hpp"
 
@@ -111,19 +110,9 @@ SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
   return result;
 }
 
-std::vector<SensitivityResult> measure_read_utilization_many(
-    const std::vector<SensitivityConfig>& cfgs, unsigned threads) {
-  std::vector<SensitivityResult> results(cfgs.size());
-  SweepRunner(threads).run_indexed(cfgs.size(), [&](std::size_t i) {
-    results[i] = measure_read_utilization(cfgs[i]);
-  });
-  return results;
-}
-
 double strided_util_avg(unsigned elem_bits, unsigned banks,
                         unsigned bus_bytes, unsigned max_stride) {
-  std::vector<SensitivityConfig> cfgs;
-  cfgs.reserve(max_stride + 1);
+  double sum = 0.0;
   for (unsigned s = 0; s <= max_stride; ++s) {
     SensitivityConfig cfg;
     cfg.bus_bytes = bus_bytes;
@@ -132,11 +121,7 @@ double strided_util_avg(unsigned elem_bits, unsigned banks,
     cfg.indirect = false;
     cfg.stride_elems = static_cast<std::int64_t>(s);
     cfg.num_bursts = 4;  // short steady-state run per stride
-    cfgs.push_back(cfg);
-  }
-  double sum = 0.0;
-  for (const SensitivityResult& r : measure_read_utilization_many(cfgs)) {
-    sum += r.r_util;
+    sum += measure_read_utilization(cfg).r_util;
   }
   return sum / (max_stride + 1);
 }

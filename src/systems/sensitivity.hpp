@@ -6,8 +6,7 @@
 //
 // The requestor is a sim::Component (not a run_until side effect), so the
 // gated kernel treats it like any other master and the sweep points run
-// unattended; multi-point entry points fan the independent points out over
-// a SweepRunner thread pool.
+// unattended; grids of points fan out over their ExperimentSpec's pool.
 #pragma once
 
 #include <cstdint>
@@ -44,13 +43,9 @@ struct SensitivityResult {
 /// Runs the configured read stream to completion and reports utilization.
 SensitivityResult measure_read_utilization(const SensitivityConfig& cfg);
 
-/// Sweep variant: measures every point on a SweepRunner thread pool
-/// (`threads` = 0 -> default pool size); results in input order.
-std::vector<SensitivityResult> measure_read_utilization_many(
-    const std::vector<SensitivityConfig>& cfgs, unsigned threads = 0);
-
-/// Fig. 5b datapoint: utilization averaged across element strides 0..63,
-/// with the per-stride runs spread over the thread pool.
+/// Fig. 5b datapoint: utilization averaged across element strides
+/// 0..max_stride, measured serially in stride order (a grid of these
+/// points parallelizes on its ExperimentSpec's pool).
 double strided_util_avg(unsigned elem_bits, unsigned banks,
                         unsigned bus_bytes = 32, unsigned max_stride = 63);
 

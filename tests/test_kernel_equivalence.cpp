@@ -2,12 +2,14 @@
 // components, wake scheduling, idle fast-forward, lazy pop accounting) must
 // report bit-identical results to the force-naive kernel (every component
 // ticked every cycle) for every registered scenario and for the sensitivity
-// harness — cycle counts, utilizations, bus/bank statistics, everything a
-// figure could be built from.
+// harness: every stat RunResult::to_json() reports, plus the link beat
+// counts and DMA stats it does not.
 #include "test_common.hpp"
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dma/descriptor.hpp"
@@ -20,109 +22,39 @@
 namespace axipack {
 namespace {
 
-/// Everything a figure could read out of one run.
-struct Snapshot {
-  std::uint64_t cycles = 0;
-  double r_util = 0.0;
-  double r_util_no_idx = 0.0;
-  double w_util = 0.0;
-  bool correct = false;
-  std::uint64_t protocol_violations = 0;
-  std::uint64_t bank_grants = 0;
-  std::uint64_t bank_conflict_losses = 0;
-  std::uint64_t row_hits = 0;
-  std::uint64_t row_misses = 0;
-  std::uint64_t refresh_stall_cycles = 0;
-  std::uint64_t row_batch_defer_cycles = 0;
-  std::uint64_t row_starved_grants = 0;
-  std::uint64_t r_beats = 0;
-  std::uint64_t r_payload_bytes = 0;
-  std::uint64_t w_beats = 0;
-  std::uint64_t coalesce_merged = 0;
-  std::uint64_t coalesce_unique = 0;
-  std::uint64_t coalesce_peak_pending = 0;
-  std::uint64_t coalesce_row_groups = 0;
-  std::uint64_t indirect_idx_words = 0;
-  std::uint64_t indirect_elem_words = 0;
-  std::uint64_t faults_injected = 0;
-  std::uint64_t faults_corrected = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t retry_timeouts = 0;
-  std::uint64_t failed_ops = 0;
-  bool degraded = false;
+/// Everything one run reports: the full RunResult JSON (every stat an
+/// artifact or figure can read) plus the counters the JSON does not carry —
+/// the monitored link's beat counts and the DMA engines' stats.
+struct Outcome {
+  sys::RunResult run;
   std::uint64_t dma_bytes_moved = 0;
   std::uint64_t dma_busy_cycles = 0;
   std::uint64_t dma_desc_fetch_bytes = 0;
-
-  static Snapshot of(const sys::RunResult& r) {
-    Snapshot s;
-    s.cycles = r.cycles;
-    s.r_util = r.r_util;
-    s.r_util_no_idx = r.r_util_no_idx;
-    s.w_util = r.w_util;
-    s.correct = r.correct;
-    s.protocol_violations = r.protocol_violations;
-    s.bank_grants = r.bank_grants;
-    s.bank_conflict_losses = r.bank_conflict_losses;
-    s.row_hits = r.row_hits;
-    s.row_misses = r.row_misses;
-    s.refresh_stall_cycles = r.refresh_stall_cycles;
-    s.row_batch_defer_cycles = r.row_batch_defer_cycles;
-    s.row_starved_grants = r.row_starved_grants;
-    s.r_beats = r.bus.r_beats;
-    s.r_payload_bytes = r.bus.r_payload_bytes;
-    s.w_beats = r.bus.w_beats;
-    s.coalesce_merged = r.coalesce_merged;
-    s.coalesce_unique = r.coalesce_unique;
-    s.coalesce_peak_pending = r.coalesce_peak_pending;
-    s.coalesce_row_groups = r.coalesce_row_groups;
-    s.indirect_idx_words = r.indirect_idx_words;
-    s.indirect_elem_words = r.indirect_elem_words;
-    s.faults_injected = r.faults_injected;
-    s.faults_corrected = r.faults_corrected;
-    s.retries = r.retries;
-    s.retry_timeouts = r.retry_timeouts;
-    s.failed_ops = r.failed_ops;
-    s.degraded = r.degraded;
-    return s;
-  }
 };
 
-void expect_identical(const Snapshot& naive, const Snapshot& gated,
+void expect_identical(const Outcome& naive, const Outcome& gated,
                       const std::string& what) {
-  EXPECT_EQ(naive.cycles, gated.cycles) << what;
-  EXPECT_EQ(naive.r_util, gated.r_util) << what;
-  EXPECT_EQ(naive.r_util_no_idx, gated.r_util_no_idx) << what;
-  EXPECT_EQ(naive.w_util, gated.w_util) << what;
-  EXPECT_EQ(naive.correct, gated.correct) << what;
-  EXPECT_EQ(naive.protocol_violations, gated.protocol_violations) << what;
-  EXPECT_EQ(naive.bank_grants, gated.bank_grants) << what;
-  EXPECT_EQ(naive.bank_conflict_losses, gated.bank_conflict_losses) << what;
-  EXPECT_EQ(naive.row_hits, gated.row_hits) << what;
-  EXPECT_EQ(naive.row_misses, gated.row_misses) << what;
-  EXPECT_EQ(naive.refresh_stall_cycles, gated.refresh_stall_cycles) << what;
-  EXPECT_EQ(naive.row_batch_defer_cycles, gated.row_batch_defer_cycles)
-      << what;
-  EXPECT_EQ(naive.row_starved_grants, gated.row_starved_grants) << what;
-  EXPECT_EQ(naive.r_beats, gated.r_beats) << what;
-  EXPECT_EQ(naive.r_payload_bytes, gated.r_payload_bytes) << what;
-  EXPECT_EQ(naive.w_beats, gated.w_beats) << what;
-  EXPECT_EQ(naive.coalesce_merged, gated.coalesce_merged) << what;
-  EXPECT_EQ(naive.coalesce_unique, gated.coalesce_unique) << what;
-  EXPECT_EQ(naive.coalesce_peak_pending, gated.coalesce_peak_pending)
-      << what;
-  EXPECT_EQ(naive.coalesce_row_groups, gated.coalesce_row_groups) << what;
-  EXPECT_EQ(naive.indirect_idx_words, gated.indirect_idx_words) << what;
-  EXPECT_EQ(naive.indirect_elem_words, gated.indirect_elem_words) << what;
-  EXPECT_EQ(naive.faults_injected, gated.faults_injected) << what;
-  EXPECT_EQ(naive.faults_corrected, gated.faults_corrected) << what;
-  EXPECT_EQ(naive.retries, gated.retries) << what;
-  EXPECT_EQ(naive.retry_timeouts, gated.retry_timeouts) << what;
-  EXPECT_EQ(naive.failed_ops, gated.failed_ops) << what;
-  EXPECT_EQ(naive.degraded, gated.degraded) << what;
+  EXPECT_EQ(naive.run.to_json(), gated.run.to_json()) << what;
+  EXPECT_EQ(naive.run.bus.r_beats, gated.run.bus.r_beats) << what;
+  EXPECT_EQ(naive.run.bus.w_beats, gated.run.bus.w_beats) << what;
   EXPECT_EQ(naive.dma_bytes_moved, gated.dma_bytes_moved) << what;
   EXPECT_EQ(naive.dma_busy_cycles, gated.dma_busy_cycles) << what;
   EXPECT_EQ(naive.dma_desc_fetch_bytes, gated.dma_desc_fetch_bytes) << what;
+}
+
+/// Runs `cfg` on `scenario` under the naive and the gated kernel (in that
+/// order), both after the optional builder `patch`.
+std::pair<sys::RunResult, sys::RunResult> run_both(
+    const std::string& scenario, const wl::WorkloadConfig& cfg,
+    std::function<void(sys::SystemBuilder&)> patch = {}) {
+  sys::WorkloadJob gated{scenario, cfg, patch};
+  sys::WorkloadJob naive = gated;
+  naive.builder_patch = [patch](sys::SystemBuilder& b) {
+    if (patch) patch(b);
+    b.naive_kernel(true);
+  };
+  auto results = sys::run_workloads({naive, gated}, /*threads=*/1);
+  return {std::move(results[0]), std::move(results[1])};
 }
 
 /// Value of word `i` of chain link `link` of DMA master `id`.
@@ -134,7 +66,7 @@ std::uint32_t chain_word(sys::MasterId id, std::uint64_t link,
 /// Drives one scenario to completion under the requested kernel mode:
 /// processor masters run a small gemv, DMA masters move a strided stream
 /// and then walk a 3-link in-memory descriptor chain.
-Snapshot drive_scenario(const std::string& name, bool naive) {
+Outcome drive_scenario(const std::string& name, bool naive) {
   sys::SystemBuilder builder =
       sys::ScenarioRegistry::instance().builder(name);
   builder.naive_kernel(naive);
@@ -184,7 +116,7 @@ Snapshot drive_scenario(const std::string& name, bool naive) {
     system->dma(id).start_chain(dma::build_chain(store, chain));
   }
 
-  Snapshot snap;
+  Outcome out;
   bool has_proc = false;
   for (sys::MasterId id = 0; id < system->num_masters(); ++id) {
     has_proc = has_proc || system->is_processor(id);
@@ -194,19 +126,19 @@ Snapshot drive_scenario(const std::string& name, bool naive) {
     cfg.n = 96;  // small but multi-op: issue, chaining, loads and stores
     const wl::WorkloadInstance instance =
         wl::build_workload(system->store(), cfg);
-    snap = Snapshot::of(system->run(instance));
+    out.run = system->run(instance);
   } else {
     const sim::RunStatus status = system->run_until_drained(5'000'000);
     EXPECT_TRUE(status.completed) << name;
-    snap.cycles = status.cycles;
-    snap.correct = true;
+    out.run.cycles = status.cycles;
+    out.run.correct = true;
   }
   // Fold in DMA outcomes (and verify the moved data).
   for (sys::MasterId id = 0, d = 0; id < system->num_masters(); ++id) {
     if (!system->is_dma(id)) continue;
-    snap.dma_bytes_moved += system->dma(id).stats().bytes_moved;
-    snap.dma_busy_cycles += system->dma(id).stats().busy_cycles;
-    snap.dma_desc_fetch_bytes += system->dma(id).stats().desc_fetch_bytes;
+    out.dma_bytes_moved += system->dma(id).stats().bytes_moved;
+    out.dma_busy_cycles += system->dma(id).stats().busy_cycles;
+    out.dma_desc_fetch_bytes += system->dma(id).stats().desc_fetch_bytes;
     EXPECT_EQ(system->dma(id).stats().descriptors_done, 1 + kChainLinks)
         << name << " dma " << id;
     for (std::uint64_t i = 0; i < kDmaElems; ++i) {
@@ -224,14 +156,13 @@ Snapshot drive_scenario(const std::string& name, bool naive) {
     }
     ++d;
   }
-  return snap;
+  return out;
 }
 
 TEST(KernelEquivalence, EveryRegisteredScenario) {
   for (const std::string& name : sys::ScenarioRegistry::instance().names()) {
-    const Snapshot naive = drive_scenario(name, /*naive=*/true);
-    const Snapshot gated = drive_scenario(name, /*naive=*/false);
-    expect_identical(naive, gated, name);
+    expect_identical(drive_scenario(name, /*naive=*/true),
+                     drive_scenario(name, /*naive=*/false), name);
   }
 }
 
@@ -262,9 +193,8 @@ TEST(KernelEquivalence, ParametricFamilyMembers) {
         // knobs (scheduler window, coalescer, extra masters).
         "pack-256-dram-ch2", "base-128-dram-ch2", "pack-64-dram-ch4-w8",
         "pack-256-dram-ch8-x16", "pack-256-dram-ch4-m6"}) {
-    const Snapshot naive = drive_scenario(name, /*naive=*/true);
-    const Snapshot gated = drive_scenario(name, /*naive=*/false);
-    expect_identical(naive, gated, name);
+    expect_identical(drive_scenario(name, /*naive=*/true),
+                     drive_scenario(name, /*naive=*/false), name);
   }
 }
 
@@ -279,17 +209,8 @@ TEST(KernelEquivalence, CoalescedIndirectKernels) {
       auto cfg = sys::plan_workload(kernel, scenario);
       cfg.n = 96;
       cfg.nnz_per_row = 24;
-      sys::WorkloadJob naive_job;
-      naive_job.scenario = scenario;
-      naive_job.cfg = cfg;
-      naive_job.naive_kernel = true;
-      sys::WorkloadJob gated_job = naive_job;
-      gated_job.naive_kernel = false;
-      const auto results =
-          sys::run_workloads({naive_job, gated_job}, /*threads=*/1);
-      const Snapshot naive = Snapshot::of(results[0]);
-      const Snapshot gated = Snapshot::of(results[1]);
-      expect_identical(naive, gated,
+      const auto [naive, gated] = run_both(scenario, cfg);
+      expect_identical({naive}, {gated},
                        scenario + " " + wl::kernel_name(kernel));
       EXPECT_GT(gated.coalesce_unique, 0u) << scenario;
       EXPECT_GT(gated.coalesce_merged, 0u) << scenario;
@@ -312,21 +233,12 @@ TEST(KernelEquivalence, FaultInjectionStaysCycleIdentical) {
       auto cfg = sys::plan_workload(kernel, scenario);
       cfg.n = 64;
       if (wl::kernel_is_indirect(kernel)) cfg.nnz_per_row = 16;
-      sys::WorkloadJob naive_job;
-      naive_job.scenario = scenario;
-      naive_job.cfg = cfg;
-      naive_job.naive_kernel = true;
-      sys::WorkloadJob gated_job = naive_job;
-      gated_job.naive_kernel = false;
-      const auto results =
-          sys::run_workloads({naive_job, gated_job}, /*threads=*/1);
-      const Snapshot naive = Snapshot::of(results[0]);
-      const Snapshot gated = Snapshot::of(results[1]);
-      expect_identical(naive, gated,
+      const auto [naive, gated] = run_both(scenario, cfg);
+      expect_identical({naive}, {gated},
                        scenario + " " + wl::kernel_name(kernel));
       EXPECT_GT(gated.faults_injected, 0u)
           << scenario << " " << wl::kernel_name(kernel);
-      EXPECT_TRUE(gated.correct) << scenario << " " << results[1].error;
+      EXPECT_TRUE(gated.correct) << scenario << " " << gated.error;
     }
   }
 }
@@ -347,22 +259,11 @@ TEST(KernelEquivalence, RefreshEpochMultiSkipStress) {
       auto cfg = sys::plan_workload(kernel, scenario);
       cfg.n = 64;
       if (wl::kernel_is_indirect(kernel)) cfg.nnz_per_row = 16;
-      sys::WorkloadJob naive_job;
-      naive_job.scenario = scenario;
-      naive_job.cfg = cfg;
-      naive_job.naive_kernel = true;
-      naive_job.builder_patch = [&t](sys::SystemBuilder& b) {
-        b.dram_timing(t);
-      };
-      sys::WorkloadJob gated_job = naive_job;
-      gated_job.naive_kernel = false;
-      const auto results =
-          sys::run_workloads({naive_job, gated_job}, /*threads=*/1);
-      const Snapshot naive = Snapshot::of(results[0]);
-      const Snapshot gated = Snapshot::of(results[1]);
-      expect_identical(naive, gated, scenario + " small-tREFI " +
-                                         wl::kernel_name(kernel));
-      EXPECT_TRUE(gated.correct) << scenario << " " << results[1].error;
+      const auto [naive, gated] = run_both(
+          scenario, cfg, [&t](sys::SystemBuilder& b) { b.dram_timing(t); });
+      expect_identical({naive}, {gated}, scenario + " small-tREFI " +
+                                             wl::kernel_name(kernel));
+      EXPECT_TRUE(gated.correct) << scenario << " " << gated.error;
       // Non-vacuous: the run must actually have crossed many epochs.
       EXPECT_GT(gated.refresh_stall_cycles, 0u) << scenario;
       EXPECT_GT(gated.cycles, 4u * t.tREFI) << scenario;
@@ -373,7 +274,8 @@ TEST(KernelEquivalence, RefreshEpochMultiSkipStress) {
 TEST(KernelEquivalence, DramRowStatsAreExercised) {
   // Guard against the dram equivalence checks passing vacuously: the gated
   // run of a dram scenario must actually accumulate row-buffer activity.
-  const Snapshot gated = drive_scenario("pack-dram", /*naive=*/false);
+  const sys::RunResult gated =
+      drive_scenario("pack-dram", /*naive=*/false).run;
   EXPECT_GT(gated.row_hits + gated.row_misses, 0u);
   EXPECT_EQ(gated.row_hits + gated.row_misses, gated.bank_grants);
 }
@@ -392,17 +294,9 @@ TEST(KernelEquivalence, EveryHeadlineWorkloadKind) {
     } else {
       cfg.n = 96;
     }
-    const std::string scenario = sys::scenario_name(sys::SystemKind::pack);
-    sys::WorkloadJob naive_job;
-    naive_job.scenario = scenario;
-    naive_job.cfg = cfg;
-    naive_job.naive_kernel = true;
-    sys::WorkloadJob gated_job = naive_job;
-    gated_job.naive_kernel = false;
-    const auto results =
-        sys::run_workloads({naive_job, gated_job}, /*threads=*/1);
-    expect_identical(Snapshot::of(results[0]), Snapshot::of(results[1]),
-                     std::string(wl::kernel_name(kernel)));
+    const auto [naive, gated] =
+        run_both(sys::scenario_name(sys::SystemKind::pack), cfg);
+    expect_identical({naive}, {gated}, wl::kernel_name(kernel));
   }
 }
 
@@ -424,18 +318,7 @@ TEST(KernelEquivalence, OpenLoopTrafficStaysCycleIdentical) {
       res[naive] = b.build()->run_open_loop(60'000, 10'000'000);
       ASSERT_TRUE(res[naive].correct) << name << ": " << res[naive].error;
     }
-    EXPECT_EQ(res[0].cycles, res[1].cycles) << name;
-    EXPECT_EQ(res[0].latency.count(), res[1].latency.count()) << name;
-    EXPECT_EQ(res[0].latency.percentile(50), res[1].latency.percentile(50))
-        << name;
-    EXPECT_EQ(res[0].latency.percentile(99), res[1].latency.percentile(99))
-        << name;
-    EXPECT_EQ(res[0].latency.max(), res[1].latency.max()) << name;
-    EXPECT_EQ(res[0].offered_rate, res[1].offered_rate) << name;
-    EXPECT_EQ(res[0].achieved_rate, res[1].achieved_rate) << name;
-    EXPECT_EQ(res[0].queue_peak, res[1].queue_peak) << name;
-    EXPECT_EQ(res[0].retries, res[1].retries) << name;
-    EXPECT_EQ(res[0].faults_injected, res[1].faults_injected) << name;
+    expect_identical({res[1]}, {res[0]}, name);
   }
 }
 

@@ -8,13 +8,13 @@ Checks, per experiment-grid file:
     and its label is one of the axis's declared values;
   * every point embeds a "run" object with the RunResult core fields.
 
-Files with "bench": "kernel" (perf_kernel's BENCH_kernel.json) are
-validated against the kernel-artifact shape instead: the throughput /
-identity / floor fields are present and internally consistent, every
+Files with "bench": "kernel" (perf_kernel's BENCH_kernel.json) carry the
+same experiments[] plus a timing block, thread_scaling and gates[]: every
 thread-scaling point records requested vs effective threads with an
-oversubscription flag, and no oversubscribed point leaks into
+oversubscription flag, no oversubscribed point leaks into
 gated_parallel_ms (oversubscribed wall-clocks measure the host, not the
-engine, so CI floors must ignore them).
+engine), and every gate is a {name, value, floor, pass} predicate whose
+pass flag agrees with value >= floor and is true.
 
 Usage: check_bench_json.py FILE.json [FILE.json ...]
 Exits non-zero on the first malformed artifact.
@@ -37,23 +37,19 @@ RUN_FIELDS = {"cycles", "r_util", "correct", "row_hit_ratio",
               "latency_count", "offered_rate", "achieved_rate", "queue_peak"}
 
 
-KERNEL_FIELDS = {"seed", "hardware_threads", "gated_serial_ms",
-                 "gated_parallel_ms", "dram_naive_serial_ms",
-                 "dram_gated_serial_ms", "dram_sim_cycles_total",
-                 "dram_sim_cycles_per_sec", "dram_cycles_per_sec_floor",
-                 "dram_throughput_pass", "dram_cycle_identical",
-                 "dram_mc_cycle_identical", "dram_mc_all_verified",
-                 "channel_scaling",
-                 "sim_cycles_total", "sim_cycles_per_sec_gated_serial",
-                 "cycle_identical_naive_vs_gated", "all_workloads_verified",
-                 "open_loop", "thread_scaling"}
+KERNEL_FIELDS = {"seed", "hardware_threads", "timing", "thread_scaling",
+                 "gates"}
 
 SCALE_POINT_FIELDS = {"threads_requested", "threads_effective",
                       "oversubscribed", "wall_ms", "dram_wall_ms"}
 
+GATE_FIELDS = {"name", "value", "floor", "pass"}
+
 
 def check_kernel_file(path, doc):
-    """Validates perf_kernel's BENCH_kernel.json artifact shape."""
+    """Validates the perf_kernel-specific parts of BENCH_kernel.json (its
+    experiments[] already passed the experiment-file checks) and returns
+    a summary for the ok line."""
     missing = KERNEL_FIELDS - set(doc)
     if missing:
         fail(path, f"kernel artifact missing fields {sorted(missing)}")
@@ -78,82 +74,33 @@ def check_kernel_file(path, doc):
     if honest_min is None:
         fail(path, "every thread_scaling point is oversubscribed "
                    "(the serial point never is)")
-    # CI floors must ignore flagged points: gated_parallel_ms may only
-    # come from non-oversubscribed runs.
-    if doc["gated_parallel_ms"] > honest_min * (1 + 1e-9):
-        fail(path, f"gated_parallel_ms {doc['gated_parallel_ms']} exceeds "
-                   f"best non-oversubscribed point {honest_min}")
-    # The throughput fields must be self-consistent and the floor honored.
-    derived = doc["dram_sim_cycles_total"] / (doc["dram_gated_serial_ms"]
-                                              / 1000.0)
-    if abs(derived - doc["dram_sim_cycles_per_sec"]) > 1e-6 * derived:
-        fail(path, f"dram_sim_cycles_per_sec {doc['dram_sim_cycles_per_sec']}"
-                   f" inconsistent with cycles/wall ({derived:.1f})")
-    floor_ok = doc["dram_sim_cycles_per_sec"] >= doc["dram_cycles_per_sec_floor"]
-    if doc["dram_throughput_pass"] != floor_ok:
-        fail(path, "dram_throughput_pass disagrees with the recorded "
-                   "floor comparison")
-    for gate in ("dram_throughput_pass", "dram_cycle_identical",
-                 "dram_mc_cycle_identical", "dram_mc_all_verified",
-                 "cycle_identical_naive_vs_gated", "all_workloads_verified"):
-        if not doc[gate]:
-            fail(path, f"kernel artifact gate {gate} is false")
-    # Channel scale-out: the 2-channel aggregate R-util scaling of the
-    # streaming harness must meet the recorded floor, and the recorded
-    # pass flag must agree with the recorded numbers.
-    cs = doc["channel_scaling"]
-    for field in ("agg_r_util", "channels", "scaling_2ch", "floor", "pass"):
-        if field not in cs:
-            fail(path, f"channel_scaling missing field {field!r}")
-    if len(cs["agg_r_util"]) != len(cs["channels"]):
-        fail(path, "channel_scaling series length mismatch")
-    derived_scaling = (cs["agg_r_util"][1] / cs["agg_r_util"][0]
-                       if cs["agg_r_util"][0] else 0.0)
-    if abs(derived_scaling - cs["scaling_2ch"]) > 1e-6:
-        fail(path, f"channel_scaling scaling_2ch {cs['scaling_2ch']} "
-                   f"inconsistent with the utilization series")
-    if cs["pass"] != (cs["scaling_2ch"] >= cs["floor"]):
-        fail(path, "channel_scaling pass flag disagrees with the floor")
-    if not cs["pass"]:
-        fail(path, f"channel scaling {cs['scaling_2ch']:.2f}x below the "
-                   f"{cs['floor']}x floor")
-    # Open-loop latency gate: the three SLO-knee curves are present and
-    # internally consistent, the recorded knee ratio matches the knees, the
-    # floor comparison matches the pass flag, and the gated-vs-naive
-    # open-loop identity check passed.
-    ol = doc["open_loop"]
-    for field in ("slo_p99", "rates", "base", "pack", "coalesce",
-                  "knee_ratio", "floor", "pass", "identical"):
-        if field not in ol:
-            fail(path, f"open_loop missing field {field!r}")
-    for label in ("base", "pack", "coalesce"):
-        curve = ol[label]
-        if len(curve["p99"]) != len(ol["rates"]):
-            fail(path, f"open_loop {label} p99 series length mismatch")
-        if not curve["verified"]:
-            fail(path, f"open_loop {label} curve has unverified points")
-        derived_knee = 0.0
-        for rate, p99 in zip(ol["rates"], curve["p99"]):
-            if p99 <= ol["slo_p99"]:
-                derived_knee = max(derived_knee, rate)
-        if derived_knee != curve["knee"]:
-            fail(path, f"open_loop {label} knee {curve['knee']} "
-                       f"inconsistent with its p99 series "
-                       f"({derived_knee})")
-    derived_ratio = (ol["coalesce"]["knee"] / ol["base"]["knee"]
-                     if ol["base"]["knee"] else 0.0)
-    if abs(derived_ratio - ol["knee_ratio"]) > 1e-6:
-        fail(path, f"open_loop knee_ratio {ol['knee_ratio']} inconsistent "
-                   f"with the recorded knees ({derived_ratio:.3f})")
-    if ol["pass"] != (ol["knee_ratio"] >= ol["floor"]):
-        fail(path, "open_loop pass flag disagrees with the floor")
-    if not ol["pass"]:
-        fail(path, f"open-loop knee ratio {ol['knee_ratio']:.2f}x below "
-                   f"the {ol['floor']}x floor")
-    if not ol["identical"]:
-        fail(path, "open-loop gated vs naive runs diverged")
-    print(f"{path}: ok (kernel, {len(points)} thread-scaling point(s), "
-          f"{doc['dram_sim_cycles_per_sec']:.0f} dram sim cycles/s)")
+    # Oversubscribed wall-clocks measure the host, not the engine:
+    # gated_parallel_ms may only come from non-oversubscribed runs.
+    parallel_ms = doc["timing"].get("gated_parallel_ms")
+    if parallel_ms is None:
+        fail(path, "timing block missing gated_parallel_ms")
+    if parallel_ms > honest_min * (1 + 1e-9):
+        fail(path, f"gated_parallel_ms {parallel_ms} exceeds best "
+                   f"non-oversubscribed point {honest_min}")
+    # Every CI gate is a {name, value, floor, pass} predicate: pass must
+    # agree with value >= floor, and every gate must pass.
+    gates = doc["gates"]
+    if not gates:
+        fail(path, "no gates recorded")
+    names = set()
+    for gate in gates:
+        if set(gate) != GATE_FIELDS:
+            fail(path, f"gate {gate!r} fields != {sorted(GATE_FIELDS)}")
+        if gate["name"] in names:
+            fail(path, f"gate {gate['name']!r} recorded twice")
+        names.add(gate["name"])
+        if gate["pass"] != (gate["value"] >= gate["floor"]):
+            fail(path, f"gate {gate['name']} pass flag disagrees with "
+                       f"{gate['value']} vs floor {gate['floor']}")
+        if not gate["pass"]:
+            fail(path, f"gate {gate['name']} failed: {gate['value']} < "
+                       f"{gate['floor']}")
+    return f"{len(gates)} gate(s), {len(points)} thread-scaling point(s)"
 
 
 def check_file(path):
@@ -162,9 +109,6 @@ def check_file(path):
             doc = json.load(f)
         except json.JSONDecodeError as e:
             fail(path, f"does not parse: {e}")
-    if doc.get("bench") == "kernel" and "experiments" not in doc:
-        check_kernel_file(path, doc)
-        return
     for key in ("bench", "quick", "experiments"):
         if key not in doc:
             fail(path, f"missing top-level key {key!r}")
@@ -324,8 +268,10 @@ def check_file(path):
                                    f"failed to recover")
     n_exp = len(doc["experiments"])
     n_pts = sum(len(e["points"]) for e in doc["experiments"])
-    print(f"{path}: ok ({doc['bench']}, {n_exp} experiment(s), "
-          f"{n_pts} point(s))")
+    summary = f"{n_exp} experiment(s), {n_pts} point(s)"
+    if doc["bench"] == "kernel":
+        summary += ", " + check_kernel_file(path, doc)
+    print(f"{path}: ok ({doc['bench']}, {summary})")
 
 
 def main():
