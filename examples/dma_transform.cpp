@@ -13,11 +13,11 @@
 // Usage: dma_transform [matrix_dim]           (default 256)
 // Exits non-zero if the engine fails to drain or any gather is wrong.
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <vector>
 
+#include "args.hpp"
 #include "dma/descriptor.hpp"
 #include "dma/engine.hpp"
 #include "systems/scenario.hpp"
@@ -55,8 +55,8 @@ struct Fabric {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint32_t n =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 256;
+  std::uint32_t n = 256;
+  examples::parse_sizes(argc, argv, "[matrix_dim]", {&n});
   std::printf("dma_transform: gathering one column of a %ux%u FP32 matrix "
               "into a contiguous buffer\n\n", n, n);
 

@@ -13,11 +13,11 @@
 //
 // Usage: multi_master [spmv_rows] [gather_dim]   (default 128 256)
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "args.hpp"
 #include "dma/descriptor.hpp"
 #include "dma/engine.hpp"
 #include "systems/runner.hpp"
@@ -27,10 +27,9 @@
 
 int main(int argc, char** argv) {
   using namespace axipack;
-  const std::uint32_t rows =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 128;
-  const std::uint32_t dim =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 256;
+  std::uint32_t rows = 128;
+  std::uint32_t dim = 256;
+  examples::parse_sizes(argc, argv, "[spmv_rows] [gather_dim]", {&rows, &dim});
 
   // --- The registered dual-master scenario: vproc + DMA share the fabric.
   auto system = sys::ScenarioRegistry::instance().build("dual-master-pack");

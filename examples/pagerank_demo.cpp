@@ -5,21 +5,20 @@
 //
 // Usage: pagerank_demo [nodes] [avg_degree] [iterations]
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
+#include "args.hpp"
 #include "energy/power_model.hpp"
 #include "systems/runner.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace axipack;
-  const std::uint32_t nodes =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 256;
-  const std::uint32_t degree =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 32;
-  const std::uint32_t iters =
-      argc > 3 ? static_cast<std::uint32_t>(std::atoi(argv[3])) : 8;
+  std::uint32_t nodes = 256;
+  std::uint32_t degree = 32;
+  std::uint32_t iters = 8;
+  examples::parse_sizes(argc, argv, "[nodes] [avg_degree] [iterations]",
+                        {&nodes, &degree, &iters});
 
   std::printf("pagerank: %u nodes, avg in-degree %u, %u iterations\n\n", nodes,
               degree, iters);

@@ -4,18 +4,17 @@
 //
 // Usage: spmv_demo [rows] [avg_nnz_per_row]     (default 256 x 64)
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
+#include "args.hpp"
 #include "systems/runner.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace axipack;
-  const std::uint32_t rows =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 256;
-  const std::uint32_t nnz =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 64;
+  std::uint32_t rows = 256;
+  std::uint32_t nnz = 64;
+  examples::parse_sizes(argc, argv, "[rows] [avg_nnz_per_row]", {&rows, &nnz});
 
   std::printf("spmv: %u rows, ~%u nonzeros/row (CSR, FP32, 32-bit indices)\n\n",
               rows, nnz);

@@ -4,16 +4,16 @@
 //
 // Usage: transpose_demo [matrix_dim]     (default 128)
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
+#include "args.hpp"
 #include "systems/runner.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace axipack;
-  const std::uint32_t n =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 128;
+  std::uint32_t n = 128;
+  examples::parse_sizes(argc, argv, "[matrix_dim]", {&n});
 
   std::printf("ismt: in-situ transpose of a %ux%u FP32 matrix\n\n", n, n);
   util::Table table({"system", "cycles", "R util", "W util", "speedup",

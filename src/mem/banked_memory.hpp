@@ -8,28 +8,24 @@
 
 #include "mem/backing_store.hpp"
 #include "mem/bank_xbar.hpp"
+#include "mem/memory.hpp"
 #include "mem/word.hpp"
 #include "sim/kernel.hpp"
 
 namespace axipack::mem {
 
-struct BankedMemoryConfig {
-  unsigned num_ports = 8;
-  unsigned num_banks = 17;
-  sim::Cycle sram_latency = 1;   ///< cycles from grant to response visible
-  std::size_t req_depth = 2;     ///< per-port request FIFO depth
-  std::size_t resp_depth = 64;   ///< per-port response FIFO depth
-};
-
 class BankedMemory final : public WordMemory {
  public:
-  BankedMemory(sim::Kernel& k, BackingStore& store,
-               const BankedMemoryConfig& cfg);
+  /// Uses num_ports, num_banks, latency (cycles from grant to response
+  /// visible) and the FIFO depths of `cfg`.
+  BankedMemory(sim::Kernel& k, BackingStore& store, const MemoryConfig& cfg);
 
   unsigned num_ports() const override {
     return static_cast<unsigned>(ports_.size());
   }
   WordPort& port(unsigned i) override { return *ports_[i]; }
+  /// Grants and conflict losses; no row-buffer stats.
+  MemStats stats() const override;
 
   const BankXbar& xbar() const { return *xbar_; }
 

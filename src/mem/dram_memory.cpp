@@ -4,8 +4,6 @@
 #include <bit>
 #include <limits>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 namespace axipack::mem {
 
@@ -43,95 +41,47 @@ const char* dram_mapping_name(DramMapping m) {
 }
 
 DramMemory::DramMemory(sim::Kernel& k, BackingStore& store,
-                       const DramMemoryConfig& cfg)
+                       const MemoryConfig& cfg)
     : store_(store),
       kernel_(k),
       cfg_(cfg),
-      map_(cfg.timing.num_banks(), cfg.timing.row_words, cfg.timing.mapping,
-           cfg.channels, cfg.channel_granule_words),
-      banks_(cfg.timing.num_banks()),
-      rr_(cfg.timing.num_banks(), 0),
+      map_(cfg.dram.num_banks(), cfg.dram.row_words, cfg.dram.mapping,
+           cfg.channels, cfg.channel_granule_bytes / kWordBytes),
+      banks_(cfg.dram.num_banks()),
+      rr_(cfg.dram.num_banks(), 0),
       win_head_(cfg.num_ports, 0),
       win_size_(cfg.num_ports, 0),
       win_base_(cfg.num_ports, 0),
-      cand_entry_(cfg.num_ports * cfg.timing.num_banks(), 0),
-      cand_hit_(cfg.num_ports * cfg.timing.num_banks(), 0),
-      bank_ports_(cfg.timing.num_banks(), 0),
+      cand_entry_(cfg.num_ports * cfg.dram.num_banks(), 0),
+      cand_hit_(cfg.num_ports * cfg.dram.num_banks(), 0),
+      bank_ports_(cfg.dram.num_banks(), 0),
       port_ungranted_writes_(cfg.num_ports, 0),
       port_bank_mask_(cfg.num_ports, 0),
       port_interest_mask_(cfg.num_ports, 0),
       port_samerow_mask_(cfg.num_ports, 0),
       port_recompute_at_(cfg.num_ports, sim::kNeverCycle),
       port_cold_banks_(cfg.num_ports, 0) {
-  assert(cfg.num_ports > 0);
-  assert(cfg.timing.num_banks() > 0 && cfg.timing.row_words > 0);
+  // make_memory rejects every config that breaks these (mem::validate).
+  assert(cfg.num_ports > 0 && cfg.num_ports <= 64);
+  assert(cfg.dram.num_banks() > 0 && cfg.dram.num_banks() <= 64);
+  assert(cfg.req_depth > 0 && cfg.resp_depth > 0);
+  assert(cfg.dram_sched_window > 0);
   // Every port starts dirty: the first tick builds the candidate caches.
   dirty_ports_ = cfg.num_ports >= 64 ? ~std::uint64_t{0}
                                      : (std::uint64_t{1} << cfg.num_ports) - 1;
-  // The event-driven scheduler tracks pending banks and contending ports
-  // in 64-bit masks.
-  if (cfg.timing.num_banks() > 64) {
-    std::fprintf(stderr,
-                 "DramMemory: %u banks exceed the scheduler's 64-bank "
-                 "bitmask limit\n",
-                 cfg.timing.num_banks());
-    std::abort();
-  }
-  if (cfg.num_ports > 64) {
-    std::fprintf(stderr,
-                 "DramMemory: %u ports exceed the scheduler's 64-port "
-                 "bitmask limit\n",
-                 cfg.num_ports);
-    std::abort();
-  }
-  // The response channel needs at least one register stage.
-  assert(cfg.timing.tCAS >= 1 && cfg.timing.tCCD >= 1);
-  // Config validation happens unconditionally (not just via assert): a
-  // zero-capacity FIFO or a zero-wide scheduler window is a configuration
-  // error that must fail loudly instead of being silently clamped or
-  // corrupting the Fifo invariants in assert-free builds.
-  if (cfg.req_depth == 0 || cfg.resp_depth == 0) {
-    std::fprintf(stderr,
-                 "DramMemory: req_depth=%zu / resp_depth=%zu must be >= 1 "
-                 "(per-port FIFOs cannot have zero capacity)\n",
-                 cfg.req_depth, cfg.resp_depth);
-    std::abort();
-  }
-  if (cfg.sched_window == 0) {
-    std::fprintf(stderr,
-                 "DramMemory: sched_window must be >= 1 (use 1 for head-only "
-                 "scheduling, not 0)\n");
-    std::abort();
-  }
-  // Refresh liveness (tREFI == 0 disables refresh): between the end of one
-  // window and the start of the next there must be room for a full
-  // precharge-activate-column sequence, or every row cycle is deferred
-  // forever and the simulation hangs. A silent hang in assert-free builds
-  // is worse than an abort, so validate unconditionally.
-  const DramTimingConfig& t = cfg.timing;
-  if (t.tREFI != 0 && t.tRFC + t.tRP + t.tRCD >= t.tREFI) {
-    std::fprintf(stderr,
-                 "DramMemory: refresh interval tREFI=%llu leaves no room for "
-                 "a row cycle (tRFC=%llu + tRP=%llu + tRCD=%llu must be < "
-                 "tREFI)\n",
-                 static_cast<unsigned long long>(t.tREFI),
-                 static_cast<unsigned long long>(t.tRFC),
-                 static_cast<unsigned long long>(t.tRP),
-                 static_cast<unsigned long long>(t.tRCD));
-    std::abort();
-  }
   // Effective per-port window: the scan depth the config asks for, bounded
   // by what the request FIFO can ever hold. Ring capacity is the next
   // power of two so entry addressing is a mask, not a division.
-  const std::size_t eff_window = std::min(cfg.sched_window, cfg.req_depth);
+  const std::size_t eff_window =
+      std::min(cfg.dram_sched_window, cfg.req_depth);
   win_cap_ = std::bit_ceil(static_cast<std::uint32_t>(eff_window));
   win_hot_.resize(static_cast<std::size_t>(cfg.num_ports) * win_cap_);
   win_cold_.resize(static_cast<std::size_t>(cfg.num_ports) * win_cap_);
   chain_next_.resize(static_cast<std::size_t>(cfg.num_ports) * win_cap_, 0);
   chain_head_.resize(
-      static_cast<std::size_t>(cfg.num_ports) * cfg.timing.num_banks(), 0);
+      static_cast<std::size_t>(cfg.num_ports) * cfg.dram.num_banks(), 0);
   chain_tail_.resize(
-      static_cast<std::size_t>(cfg.num_ports) * cfg.timing.num_banks(), 0);
+      static_cast<std::size_t>(cfg.num_ports) * cfg.dram.num_banks(), 0);
   ports_.reserve(cfg.num_ports);
   for (unsigned i = 0; i < cfg.num_ports; ++i) {
     // Response latency is per item (Fifo::push_in), so the channel's own
@@ -147,7 +97,7 @@ DramMemory::DramMemory(sim::Kernel& k, BackingStore& store,
 }
 
 void DramMemory::refresh_update(BankState& b, sim::Cycle now) {
-  const sim::Cycle trefi = cfg_.timing.tREFI;
+  const sim::Cycle trefi = cfg_.dram.tREFI;
   if (trefi == 0) return;  // refresh disabled
   const std::uint64_t epoch = now / trefi;
   if (epoch == b.refresh_epoch) return;
@@ -156,7 +106,7 @@ void DramMemory::refresh_update(BankState& b, sim::Cycle now) {
   // before the end of the latest window.
   b.refresh_epoch = epoch;
   b.row_open = false;
-  const sim::Cycle window_end = epoch * trefi + cfg_.timing.tRFC;
+  const sim::Cycle window_end = epoch * trefi + cfg_.dram.tRFC;
   b.next_act = std::max(b.next_act, window_end);
   b.refresh_block_until = window_end;
 }
@@ -212,7 +162,8 @@ bool DramMemory::release_responses(sim::Cycle now) {
     // Freed window slots may uncover the next in-flight request (the pop
     // shifted FIFO indices with the window, so the first undecoded item
     // is still at index win_size_).
-    if (win_size_[p] < cfg_.sched_window && win_size_[p] < port.req.size()) {
+    if (win_size_[p] < cfg_.dram_sched_window &&
+        win_size_[p] < port.req.size()) {
       const sim::Cycle v = port.req.item_visible_at(win_size_[p]);
       if (v < next_arrival_) next_arrival_ = v;
     }
@@ -255,7 +206,7 @@ bool DramMemory::release_responses(sim::Cycle now) {
 bool DramMemory::absorb_arrivals(sim::Cycle now) {
   bool grew = false;
   const unsigned num_banks = static_cast<unsigned>(banks_.size());
-  const sim::Cycle keepalive = cfg_.timing.tRP + cfg_.timing.tRCD;
+  const sim::Cycle keepalive = cfg_.dram.tRP + cfg_.dram.tRCD;
   next_arrival_ = sim::kNeverCycle;
   // A port whose window holds every stored request has nothing to decode
   // and no in-flight arrival to report; only flagged ports are visited.
@@ -266,7 +217,7 @@ bool DramMemory::absorb_arrivals(sim::Cycle now) {
     // later rescan touches only cached fields. Visibility is FIFO (the
     // scan stops at the first in-flight item), so the window always holds
     // exactly the first min(sched_window, visible_count) requests.
-    while (win_size_[p] < cfg_.sched_window &&
+    while (win_size_[p] < cfg_.dram_sched_window &&
            win_size_[p] < port.req.size() &&
            port.req.item_visible_at(win_size_[p]) <= now) {
       const WordReq& rq = port.req.peek(win_size_[p]);
@@ -359,7 +310,7 @@ bool DramMemory::absorb_arrivals(sim::Cycle now) {
     // decode loop above stopped right at it) bounds the horizon.
     if (win_size_[p] == port.req.size()) {
       undecoded_ports_ &= ~(std::uint64_t{1} << p);
-    } else if (win_size_[p] < cfg_.sched_window) {
+    } else if (win_size_[p] < cfg_.dram_sched_window) {
       const sim::Cycle v = port.req.item_visible_at(win_size_[p]);
       if (v < next_arrival_) next_arrival_ = v;
     }
@@ -369,7 +320,7 @@ bool DramMemory::absorb_arrivals(sim::Cycle now) {
 
 void DramMemory::rescan_port(unsigned p, sim::Cycle now) {
   const unsigned num_banks = static_cast<unsigned>(banks_.size());
-  const sim::Cycle keepalive = cfg_.timing.tRP + cfg_.timing.tRCD;
+  const sim::Cycle keepalive = cfg_.dram.tRP + cfg_.dram.tRCD;
   // Clear only the slots this port previously offered.
   for (std::uint64_t m = port_bank_mask_[p]; m != 0; m &= m - 1) {
     cand_entry_[static_cast<std::size_t>(p) * num_banks + ctz64(m)] = 0;
@@ -476,7 +427,7 @@ void DramMemory::rescan_port(unsigned p, sim::Cycle now) {
 void DramMemory::grant(unsigned port_idx, std::size_t entry,
                        unsigned bank_idx, DramGrant::Kind kind,
                        sim::Cycle now) {
-  const DramTimingConfig& t = cfg_.timing;
+  const DramTimingConfig& t = cfg_.dram;
   BankState& bank = banks_[bank_idx];
   const WordReq& req = ports_[port_idx]->req.peek(entry);
   const std::uint64_t row = win_hot(port_idx, entry).row;
@@ -625,7 +576,7 @@ void DramMemory::rescan_bank(unsigned p, unsigned b, sim::Cycle now) {
     return;
   }
   port_interest_mask_[p] |= bbit;
-  const sim::Cycle keepalive = cfg_.timing.tRP + cfg_.timing.tRCD;
+  const sim::Cycle keepalive = cfg_.dram.tRP + cfg_.dram.tRCD;
   const bool warm =
       bank.granted_ever && now - bank.last_grant_at <= keepalive;
   const bool hazards = port_ungranted_writes_[p] != 0;
@@ -729,7 +680,7 @@ void DramMemory::tick() {
   const unsigned n = static_cast<unsigned>(ports_.size());
   const unsigned num_banks = static_cast<unsigned>(banks_.size());
   const sim::Cycle now = kernel_.now();
-  const DramTimingConfig& t = cfg_.timing;
+  const DramTimingConfig& t = cfg_.dram;
 
   // In-order release first: frees window slots whose grants completed.
   // (Releases and arrivals update the candidate caches incrementally and
@@ -926,7 +877,8 @@ void DramMemory::tick() {
       if (batching_enabled() && other_kind == DramGrant::Kind::miss) {
         for (std::uint64_t m = legal_other; m != 0; m &= m - 1) {
           const unsigned q = ctz64(m);
-          if (win_hot(q, cand_index(q)).defer_cycles >= cfg_.starve_cap) {
+          if (win_hot(q, cand_index(q)).defer_cycles >=
+              cfg_.dram_starve_cap) {
             starved |= std::uint64_t{1} << q;
           }
         }
@@ -937,7 +889,7 @@ void DramMemory::tick() {
       if (starved != 0) {
         chosen = pick_rr(starved, rr_[b]);
         kind = other_kind;
-        ++stats_.starved_grants;
+        ++stats_.row_starved_grants;
       } else if (hit_mask != 0) {
         chosen = pick_rr(hit_mask, rr_[b]);
         if (batching_enabled()) {
@@ -993,7 +945,7 @@ void DramMemory::tick() {
             const unsigned q = ctz64(m);
             ++win_hot(q, cand_index(q)).defer_cycles;
           }
-          ++stats_.batch_defer_cycles;
+          ++stats_.row_batch_defer_cycles;
           defer_accounting = true;
           continue;
         }

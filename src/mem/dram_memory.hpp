@@ -46,7 +46,7 @@
 // parks responses instead, the blocked-vs-empty backpressure fix);
 // starve_cap == 0 keeps the out-of-order window but never defers a miss.
 // The effective lookahead is bounded by what the request FIFOs hold, so
-// pair a deep window with a matching DramMemoryConfig::req_depth.
+// pair a deep window with a matching MemoryConfig::req_depth.
 //
 // Like BankXbar, the component is a *pure request server*: every grant
 // decision is a deterministic function of the visible request FIFOs, the
@@ -102,52 +102,12 @@
 
 #include "mem/backing_store.hpp"
 #include "mem/dram_timing.hpp"
+#include "mem/memory.hpp"
 #include "mem/word.hpp"
 #include "sim/fault.hpp"
 #include "sim/kernel.hpp"
 
 namespace axipack::mem {
-
-struct DramMemoryConfig {
-  unsigned num_ports = 8;
-  std::size_t req_depth = 2;   ///< per-port request FIFO depth
-  std::size_t resp_depth = 64; ///< per-port response FIFO depth
-  /// Row-aware batching lookahead: visible requests per port the scheduler
-  /// may inspect (and reorder reads within), including the head. 1 =
-  /// head-only in-order scheduling (no batching). The effective window is
-  /// bounded by req_depth.
-  std::size_t sched_window = 32;
-  /// Max cycles a timing-legal row miss may be deferred in favour of
-  /// pending same-row requests before it wins anyway. 0 never defers.
-  sim::Cycle starve_cap = 48;
-  DramTimingConfig timing;
-  /// Channel-interleave geometry of the surrounding system. This channel
-  /// still receives absolute addresses; the address map compacts the
-  /// channel-select bits out before decomposition (see DramAddressMap) so
-  /// per-channel row locality is not diluted. 1 = single-channel identity.
-  unsigned channels = 1;
-  std::uint64_t channel_granule_words = 1;  ///< interleave granule in words
-};
-
-/// Activity counters of the DRAM model.
-struct DramStats {
-  std::uint64_t grants = 0;
-  std::uint64_t conflict_losses = 0;  ///< same-cycle same-bank contenders not granted
-  std::uint64_t row_hits = 0;
-  std::uint64_t row_misses = 0;  ///< activates (open-row conflict or closed bank)
-  std::uint64_t refresh_stall_cycles = 0;  ///< bank-cycles requests waited on refresh
-  /// Bank-cycles a timing-legal row miss was deferred to batch pending
-  /// same-row requests on the open row (row-aware scheduling at work).
-  std::uint64_t batch_defer_cycles = 0;
-  /// Misses granted by the starvation cap while same-row work was still
-  /// pending (the batching veto was overridden for fairness).
-  std::uint64_t starved_grants = 0;
-
-  double row_hit_ratio() const {
-    const std::uint64_t total = row_hits + row_misses;
-    return total == 0 ? 0.0 : static_cast<double>(row_hits) / total;
-  }
-};
 
 /// One granted access, recorded when a trace sink is attached (tests).
 /// `cycle`/`data_at` describe the *command* timing (grant and data-ready
@@ -165,8 +125,9 @@ struct DramGrant {
 
 class DramMemory final : public WordMemory, public sim::Component {
  public:
-  DramMemory(sim::Kernel& k, BackingStore& store,
-             const DramMemoryConfig& cfg);
+  /// Uses num_ports, the FIFO depths, the dram timing block, the dram_*
+  /// scheduler knobs and the channel geometry of `cfg` (see MemoryConfig).
+  DramMemory(sim::Kernel& k, BackingStore& store, const MemoryConfig& cfg);
 
   unsigned num_ports() const override {
     return static_cast<unsigned>(ports_.size());
@@ -186,17 +147,17 @@ class DramMemory final : public WordMemory, public sim::Component {
   sim::Cycle wake_hint() const override { return wake_hint_; }
 
   const DramAddressMap& map() const { return map_; }
-  const DramTimingConfig& timing() const { return cfg_.timing; }
+  const DramTimingConfig& timing() const { return cfg_.dram; }
   /// Counters are exact at any cycle: a query mid-span settles the bulk
   /// refresh-stall accrual for the cycles ticked past (or slept through)
   /// so far, so observers never see a partially-accounted window.
-  const DramStats& stats() const {
+  MemStats stats() const override {
     const sim::Cycle now = kernel_.now();
     if (now > 0) settle_stalls(now - 1);
     return stats_;
   }
   bool batching_enabled() const {
-    return cfg_.sched_window > 1 && cfg_.starve_cap > 0;
+    return cfg_.dram_sched_window > 1 && cfg_.dram_starve_cap > 0;
   }
 
   /// Attaches (or detaches, with nullptr) a per-grant trace sink. Test-only
@@ -326,12 +287,12 @@ class DramMemory final : public WordMemory, public sim::Component {
 
   BackingStore& store_;
   sim::Kernel& kernel_;
-  DramMemoryConfig cfg_;
+  MemoryConfig cfg_;
   DramAddressMap map_;
   std::vector<std::unique_ptr<WordPort>> ports_;
   std::vector<BankState> banks_;
   std::vector<unsigned> rr_;  ///< per-bank round-robin pointer
-  mutable DramStats stats_;  ///< mutable: stats() settles bulk stall accrual
+  mutable MemStats stats_;  ///< mutable: stats() settles bulk stall accrual
   std::vector<DramGrant>* trace_ = nullptr;
   sim::FaultPlan* faults_ = nullptr;
   // Per-port scheduling window: a power-of-two ring (capacity >= the

@@ -39,7 +39,7 @@ enum class DramMapping : std::uint8_t {
 
 const char* dram_mapping_name(DramMapping m);
 
-/// Core timing set of the "dram" backend (see MemoryBackendConfig::dram).
+/// Core timing set of the "dram" backend (see MemoryConfig::dram).
 struct DramTimingConfig {
   // Bank organization. The grouping only determines the total bank count
   // (num_banks() = bank_groups * banks_per_group) and the address layout;

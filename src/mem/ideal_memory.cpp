@@ -3,7 +3,7 @@
 namespace axipack::mem {
 
 IdealMemory::IdealMemory(sim::Kernel& k, BackingStore& store,
-                         const IdealMemoryConfig& cfg)
+                         const MemoryConfig& cfg)
     : store_(store) {
   ports_.reserve(cfg.num_ports);
   for (unsigned i = 0; i < cfg.num_ports; ++i) {

@@ -7,22 +7,16 @@
 #include <vector>
 
 #include "mem/backing_store.hpp"
+#include "mem/memory.hpp"
 #include "mem/word.hpp"
 #include "sim/kernel.hpp"
 
 namespace axipack::mem {
 
-struct IdealMemoryConfig {
-  unsigned num_ports = 8;
-  sim::Cycle latency = 1;
-  std::size_t req_depth = 2;
-  std::size_t resp_depth = 64;
-};
-
 class IdealMemory final : public WordMemory, public sim::Component {
  public:
-  IdealMemory(sim::Kernel& k, BackingStore& store,
-              const IdealMemoryConfig& cfg);
+  /// Uses num_ports, latency and the FIFO depths of `cfg`.
+  IdealMemory(sim::Kernel& k, BackingStore& store, const MemoryConfig& cfg);
 
   unsigned num_ports() const override {
     return static_cast<unsigned>(ports_.size());

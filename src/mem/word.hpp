@@ -46,12 +46,39 @@ struct WordPort {
       : req(k, req_depth, 1), resp(k, resp_depth, resp_latency) {}
 };
 
-/// Abstract n-port word memory (banked or ideal).
+/// Activity counters of a word memory. Memories without a concept of
+/// conflicts (or of row buffers) report zeros for the fields they do not
+/// track.
+struct MemStats {
+  std::uint64_t grants = 0;
+  /// Same-cycle same-bank contenders not granted.
+  std::uint64_t conflict_losses = 0;
+  std::uint64_t row_hits = 0;    ///< dram only
+  std::uint64_t row_misses = 0;  ///< dram only (activates)
+  /// dram only: bank-cycles requests waited on refresh.
+  std::uint64_t refresh_stall_cycles = 0;
+  /// dram only: bank-cycles a timing-legal row miss was deferred to batch
+  /// pending same-row requests on the open row (row-aware scheduling).
+  std::uint64_t row_batch_defer_cycles = 0;
+  /// dram only: misses granted by the starvation cap while same-row work
+  /// was still pending (the batching veto was overridden for fairness).
+  std::uint64_t row_starved_grants = 0;
+
+  double row_hit_ratio() const {
+    const std::uint64_t total = row_hits + row_misses;
+    return total == 0 ? 0.0 : static_cast<double>(row_hits) / total;
+  }
+};
+
+/// Abstract n-port word memory (banked, ideal or dram; see memory.hpp).
 class WordMemory {
  public:
   virtual ~WordMemory() = default;
   virtual unsigned num_ports() const = 0;
   virtual WordPort& port(unsigned i) = 0;
+  /// Activity counters since construction; zeros unless overridden (the
+  /// conflict-free ideal memory tracks none).
+  virtual MemStats stats() const { return {}; }
 };
 
 }  // namespace axipack::mem

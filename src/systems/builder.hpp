@@ -2,8 +2,8 @@
 //
 // A system is a set of masters (vector processors, DMA engines, or raw
 // externally-driven AXI ports) attached to one memory endpoint — an
-// AXI-Pack adapter in front of a pluggable memory backend — through an
-// auto-wired fabric:
+// AXI-Pack adapter in front of a banked, ideal or DRAM word memory —
+// through an auto-wired fabric:
 //
 //   * >1 AXI master            -> crossbar between masters and the adapter
 //   * monitor(true) (default)  -> monitored link + protocol checker on the
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "dma/engine.hpp"
-#include "mem/backend.hpp"
+#include "mem/memory.hpp"
 #include "pack/adapter.hpp"
 #include "sim/fault.hpp"
 #include "sim/kernel.hpp"
@@ -62,7 +62,7 @@ class SystemBuilder {
   SystemBuilder& naive_kernel(bool on);
   /// Memory channels behind an address-interleaving ChannelRouter per
   /// master: each channel owns a full fabric slice (crossbar, monitored
-  /// link, adapter, backend) and `granule_bytes` decides the interleave
+  /// link, adapter, memory) and `granule_bytes` decides the interleave
   /// granularity (XOR-folded channel selection, composable with the DRAM
   /// mappings). Both values must be powers of two — rejected loudly
   /// otherwise, like the capacity constraints at build time (granule at
@@ -71,28 +71,32 @@ class SystemBuilder {
   /// to builds that never call this.
   SystemBuilder& channels(unsigned n, std::uint64_t granule_bytes = 4096);
 
-  // ---- memory backend --------------------------------------------------
-  /// Selects a registered backend by name ("banked", "ideal", ...),
-  /// keeping the other backend parameters as previously set.
-  SystemBuilder& memory(const std::string& backend_name);
-  /// Full backend control; `num_ports` is still derived from the bus
-  /// width. Replaces the ENTIRE backend configuration, including any
+  // ---- memory ----------------------------------------------------------
+  // The setters below only record values; build() checks the resulting
+  // mem::MemoryConfig and aborts with mem::validate()'s message on a bad
+  // one (an unknown name, zero banks, latency or FIFO depths, a zero DRAM
+  // window, ...), in every build type.
+  /// Selects the word memory by name ("banked", "ideal" or "dram"),
+  /// keeping the other memory parameters as previously set.
+  SystemBuilder& memory(const std::string& name);
+  /// Full memory control; `num_ports` is still derived from the bus
+  /// width. Replaces the ENTIRE memory configuration, including any
   /// earlier banks()/sram_latency() calls — call those afterwards to
   /// override individual fields of `cfg`.
-  SystemBuilder& memory(const mem::MemoryBackendConfig& cfg);
+  SystemBuilder& memory(const mem::MemoryConfig& cfg);
   SystemBuilder& banks(unsigned n);
   SystemBuilder& sram_latency(sim::Cycle cycles);
-  /// Overrides the "dram" backend's bank organization, mapping policy and
-  /// timing set (ignored by the other backends). Does not change which
-  /// backend is selected — pair with memory("dram").
+  /// Overrides the "dram" memory's bank organization, mapping policy and
+  /// timing set (ignored by the other memories). Does not change which
+  /// memory is selected — pair with memory("dram").
   SystemBuilder& dram_timing(const mem::DramTimingConfig& t);
   /// "dram" only: row-aware batching scheduler — per-port lookahead window
   /// (1 = head-only scheduling) and starvation cap in cycles (0 disables
-  /// batching too). Window 0 is rejected loudly.
+  /// batching too).
   SystemBuilder& dram_sched(std::size_t window, sim::Cycle starve_cap);
-  /// Explicit per-port memory FIFO depths (all backends). Zero depths are
-  /// rejected loudly; setting these disables the DRAM backend's automatic
-  /// latency-matched deepening at build time.
+  /// Explicit per-port memory FIFO depths (all memories). Setting these
+  /// disables the DRAM memory's automatic latency-matched deepening at
+  /// build time.
   SystemBuilder& mem_queue_depths(std::size_t req_depth,
                                   std::size_t resp_depth);
 
@@ -105,7 +109,7 @@ class SystemBuilder {
   /// MSHR-style pending table of `entries` slots plus a row/bank grouping
   /// window of `window` requests, with the index stage moved onto parallel
   /// lanes. Zero entries/window with enable=true are rejected loudly.
-  /// Unlike adapter(), this composes with the backend-derived adapter
+  /// Unlike adapter(), this composes with the memory-derived adapter
   /// defaults (deep queues for "dram") instead of replacing them.
   SystemBuilder& coalescer(bool enable, std::size_t entries = 512,
                            std::size_t window = 16);
@@ -113,7 +117,7 @@ class SystemBuilder {
   // ---- robustness ------------------------------------------------------
   /// Deterministic fault injection across the fabric: the built system owns
   /// a FaultPlan wired into the monitored link, the pack converters and the
-  /// DRAM backend. Calling this with an all-zero-rate config still attaches
+  /// DRAM memory. Calling this with an all-zero-rate config still attaches
   /// a plan (so tests can pin faults via FaultPlan::force); not calling it
   /// attaches nothing and the system is bit- and cycle-identical to one
   /// built before this subsystem existed.
@@ -155,9 +159,9 @@ class SystemBuilder {
   // ---- planning introspection ------------------------------------------
   // Read-only views the workload planner (plan_workload) uses to pick the
   // methodology-fastest variant for the system this builder describes.
-  /// Registry key of the memory backend the built system will use
-  /// ("banked", "ideal", "dram", ...).
-  const std::string& memory_backend_name() const { return mem_cfg_.name; }
+  /// Name of the word memory the built system will use ("banked",
+  /// "ideal" or "dram").
+  const std::string& memory_name() const { return mem_cfg_.name; }
   /// VLSU mode of the first attached processor master — the one
   /// System::run drives — or disengaged when no processor is attached.
   std::optional<vproc::VlsuMode> primary_vlsu_mode() const {
@@ -191,7 +195,7 @@ class SystemBuilder {
   unsigned queue_depth_ = 8;
   bool monitor_ = true;
   bool naive_kernel_ = false;
-  mem::MemoryBackendConfig mem_cfg_;
+  mem::MemoryConfig mem_cfg_;
   bool mem_depths_explicit_ = false;
   pack::AdapterConfig adapter_cfg_;
   bool adapter_explicit_ = false;

@@ -77,7 +77,7 @@ ChannelScalingResult measure_channel_scaling(
             : static_cast<double>(bs->r_payload_bytes) / cap;
     out.per_channel_r_util.push_back(util);
     out.agg_r_util += util;
-    const mem::MemoryBackendStats ms = system->memory_backend(c)->stats();
+    const mem::MemStats ms = system->memory(c)->stats();
     out.per_channel_row_hits.push_back(ms.row_hits);
     out.per_channel_row_misses.push_back(ms.row_misses);
   }

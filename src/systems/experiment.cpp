@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <ostream>
 
-#include "mem/backend.hpp"
 #include "systems/channel_sweep.hpp"
 #include "systems/sweep.hpp"
 #include "util/json.hpp"
@@ -361,9 +360,8 @@ ResultSet ExperimentSpec::run() const {
   const std::vector<GridPoint> points = expand();
   std::vector<PointResult> outcomes(points.size());
   if (runner_) {
-    // Pre-warm the process-wide registries so worker threads only read.
+    // Pre-warm the scenario registry so worker threads only read it.
     (void)ScenarioRegistry::instance();
-    (void)mem::BackendRegistry::instance();
     SweepRunner(threads_).run_indexed(points.size(), [&](std::size_t i) {
       outcomes[i] = runner_(points[i]);
     });
@@ -603,7 +601,7 @@ void stamp_open_loop_knees(ResultSet& set, double slo_p99) {
   std::map<std::string, double> knees;
   for (const ResultRow& row : set.rows()) {
     double& knee = knees[curve_key(row, "rate")];
-    const double rate = row.metrics.at("offered_rate");
+    const double rate = row.point.param("rate");
     if (row.metrics.at("latency_p99") <= slo_p99 && rate > knee) knee = rate;
   }
   for (ResultRow& row : set.mutable_rows()) {

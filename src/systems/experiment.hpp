@@ -270,7 +270,7 @@ PointResult open_loop_point(const GridPoint& p, sim::Cycle window);
 
 /// Stamps slo_p99 and knee_rate on every row of an open-loop set: a
 /// curve is the rows sharing every coord but "rate", and its knee is the
-/// highest offered rate whose p99 met `slo_p99` (0 when none did).
+/// highest swept "rate" param whose p99 met `slo_p99` (0 when none did).
 void stamp_open_loop_knees(ResultSet& set, double slo_p99);
 
 /// Channel-scaling point over measure_channel_scaling: reads the point's

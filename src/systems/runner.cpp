@@ -1,6 +1,5 @@
 #include "systems/runner.hpp"
 
-#include "mem/backend.hpp"
 #include "systems/sweep.hpp"
 
 namespace axipack::sys {
@@ -15,7 +14,7 @@ wl::WorkloadConfig plan_workload(wl::KernelKind kernel,
   // strided column-wise where strided streams are cheap (PACK/IDEAL on
   // SRAM-like backends); row-wise again for PACK over "dram", whose column
   // strides thrash row buffers (see the header).
-  const bool dram = builder.memory_backend_name() == "dram";
+  const bool dram = builder.memory_name() == "dram";
   cfg.dataflow = mode == vproc::VlsuMode::base ||
                          (mode == vproc::VlsuMode::pack && dram)
                      ? wl::Dataflow::rowwise
@@ -69,7 +68,6 @@ std::vector<RunResult> run_workloads(const std::vector<WorkloadJob>& jobs,
     if (job.builder_patch) job.builder_patch(b);
     builders.push_back(std::move(b));
   }
-  (void)mem::BackendRegistry::instance();  // pre-warm before the pool
   std::vector<RunResult> results(jobs.size());
   SweepRunner(threads).run_indexed(jobs.size(), [&](std::size_t i) {
     results[i] = run_workload(builders[i], jobs[i].cfg);

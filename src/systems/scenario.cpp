@@ -263,7 +263,7 @@ std::optional<SystemBuilder> parse_scenario(const std::string& name,
           return std::nullopt;
       }
     }
-    mem::MemoryBackendConfig defaults;
+    mem::MemoryConfig defaults;
     if (have_w || have_c) {
       b.dram_sched(have_w ? window : defaults.dram_sched_window,
                    have_c ? cap : defaults.dram_starve_cap);

@@ -31,13 +31,13 @@ SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
                 (1u << 16);
 
   // Bare measurement fabric: one raw requestor port straight into the
-  // adapter (no xbar/link hops), banks == 0 selecting the ideal backend.
+  // adapter (no xbar/link hops), banks == 0 selecting the ideal memory.
   SystemBuilder builder;
   builder.bus_bits(cfg.bus_bytes * 8)
       .mem_region(kBase, span + (1ull << 22))
       .monitor(false)
       .naive_kernel(cfg.naive_kernel);
-  mem::MemoryBackendConfig mc;
+  mem::MemoryConfig mc;
   if (cfg.banks == 0) {
     mc.name = "ideal";
   } else {
@@ -106,7 +106,7 @@ SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
   result.r_util = static_cast<double>(result.payload_bytes) /
                   (static_cast<double>(result.cycles) * cfg.bus_bytes);
   result.bank_conflict_losses =
-      system->memory_backend()->stats().conflict_losses;
+      system->memory(0)->stats().conflict_losses;
   return result;
 }
 

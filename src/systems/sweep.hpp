@@ -7,8 +7,9 @@
 // jobs across worker threads and returns the results in job order.
 //
 // Thread-safety contract: a job must not touch global mutable state. The
-// process-wide registries (ScenarioRegistry, BackendRegistry) are
-// initialized before the workers start and only read afterwards.
+// process-wide ScenarioRegistry is initialized before the workers start
+// and only read afterwards; memories are built by mem::make_memory, a
+// plain function with no shared state.
 #pragma once
 
 #include <atomic>

@@ -64,16 +64,14 @@ SystemBuilder& SystemBuilder::channels(unsigned n,
   return *this;
 }
 
-SystemBuilder& SystemBuilder::memory(const std::string& backend_name) {
-  assert(mem::BackendRegistry::instance().contains(backend_name));
-  mem_cfg_.name = backend_name;
+SystemBuilder& SystemBuilder::memory(const std::string& name) {
+  mem_cfg_.name = name;
   return *this;
 }
 
-SystemBuilder& SystemBuilder::memory(const mem::MemoryBackendConfig& cfg) {
-  assert(mem::BackendRegistry::instance().contains(cfg.name));
+SystemBuilder& SystemBuilder::memory(const mem::MemoryConfig& cfg) {
   mem_cfg_ = cfg;
-  // A full backend config is the caller taking complete control, including
+  // A full memory config is the caller taking complete control, including
   // of the FIFO depths: no automatic DRAM deepening on top of it.
   mem_depths_explicit_ = true;
   return *this;
@@ -96,15 +94,6 @@ SystemBuilder& SystemBuilder::dram_timing(const mem::DramTimingConfig& t) {
 
 SystemBuilder& SystemBuilder::dram_sched(std::size_t window,
                                          sim::Cycle starve_cap) {
-  // Bad values fail loudly here (not just deep inside DramMemory): a zero
-  // window is always a config error — use window 1 / cap 0 to disable
-  // batching explicitly.
-  if (window == 0) {
-    std::fprintf(stderr,
-                 "SystemBuilder::dram_sched: window must be >= 1 (got 0); "
-                 "use window=1 or starve_cap=0 to disable batching\n");
-    std::abort();
-  }
   mem_cfg_.dram_sched_window = window;
   mem_cfg_.dram_starve_cap = starve_cap;
   return *this;
@@ -112,14 +101,6 @@ SystemBuilder& SystemBuilder::dram_sched(std::size_t window,
 
 SystemBuilder& SystemBuilder::mem_queue_depths(std::size_t req_depth,
                                                std::size_t resp_depth) {
-  if (req_depth == 0 || resp_depth == 0) {
-    std::fprintf(stderr,
-                 "SystemBuilder::mem_queue_depths: req_depth=%zu / "
-                 "resp_depth=%zu must be >= 1 (zero-capacity FIFOs cannot "
-                 "carry traffic)\n",
-                 req_depth, resp_depth);
-    std::abort();
-  }
   mem_cfg_.req_depth = req_depth;
   mem_cfg_.resp_depth = resp_depth;
   mem_depths_explicit_ = true;
@@ -288,7 +269,7 @@ System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
       ch_masters[0] = fabric_ports;
     }
 
-    mem::MemoryBackendConfig mc = b.mem_cfg_;
+    mem::MemoryConfig mc = b.mem_cfg_;
     mc.num_ports = bus_bytes_ / mem::kWordBytes;
     mc.channels = num_ch;
     mc.channel_granule_bytes = b.channel_granule_;
@@ -365,22 +346,23 @@ System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
         upstream = ch.adapter_port.get();
       }
 
-      ch.backend =
-          mem::BackendRegistry::instance().create(kernel_, *store_, mc);
+      ch.memory = mem::make_memory(kernel_, *store_, mc);
+      if (mc.name == "dram") {
+        // make_memory builds a DramMemory for "dram".
+        ch.dram = static_cast<mem::DramMemory*>(ch.memory.get());
+      }
       ch.adapter = std::make_unique<pack::AxiPackAdapter>(
-          kernel_, *upstream, ch.backend->word_memory(), ac);
-      if (ac.coalesce_enable && mc.name == "dram") {
-        // Give the grouping window the backend's real bank/row
-        // decomposition instead of the coarse address-granule default.
-        if (auto* db = dynamic_cast<mem::DramBackend*>(ch.backend.get())) {
-          const mem::DramAddressMap* map = &db->dram().map();
-          const std::uint64_t base = b.mem_base_;
-          ch.adapter->set_indirect_locality([map, base](std::uint64_t addr) {
-            const std::uint64_t w = (addr - base) / mem::kWordBytes;
-            return (static_cast<std::uint64_t>(map->bank_of(w)) << 48) |
-                   map->row_of(w);
-          });
-        }
+          kernel_, *upstream, *ch.memory, ac);
+      if (ac.coalesce_enable && ch.dram) {
+        // Give the grouping window the DRAM's real bank/row decomposition
+        // instead of the coarse address-granule default.
+        const mem::DramAddressMap* map = &ch.dram->map();
+        const std::uint64_t base = b.mem_base_;
+        ch.adapter->set_indirect_locality([map, base](std::uint64_t addr) {
+          const std::uint64_t w = (addr - base) / mem::kWordBytes;
+          return (static_cast<std::uint64_t>(map->bank_of(w)) << 48) |
+                 map->row_of(w);
+        });
       }
       if (fault_plan_) {
         // One plan shared by every channel: injection sites draw from the
@@ -389,9 +371,7 @@ System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
         // channel an event lands on.
         if (ch.link) ch.link->set_fault_plan(fault_plan_.get());
         ch.adapter->set_fault_plan(fault_plan_.get());
-        if (auto* db = dynamic_cast<mem::DramBackend*>(ch.backend.get())) {
-          db->dram().set_fault_plan(fault_plan_.get());
-        }
+        if (ch.dram) ch.dram->set_fault_plan(fault_plan_.get());
       }
       channels_.push_back(std::move(ch));
     }
@@ -529,7 +509,7 @@ System::StatSnapshot System::snapshot_stats() const {
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     const Channel& ch = channels_[c];
     if (ch.link) s.bus[c] = ch.link->stats();
-    if (ch.backend) s.mem[c] = ch.backend->stats();
+    if (ch.memory) s.mem[c] = ch.memory->stats();
     if (ch.adapter) {
       s.co[c] = ch.adapter->coalescer_stats();
       s.iw[c] = ch.adapter->indirect_word_stats();
@@ -585,9 +565,9 @@ bool System::collect_stats(RunResult& result, const StatSnapshot& snap) {
   // bus utilization is not measured and the fields stay 0.
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     const Channel& ch = channels_[c];
-    if (ch.backend) {
-      const mem::MemoryBackendStats now = ch.backend->stats();
-      const mem::MemoryBackendStats& st = snap.mem[c];
+    if (ch.memory) {
+      const mem::MemStats now = ch.memory->stats();
+      const mem::MemStats& st = snap.mem[c];
       result.bank_grants += now.grants - st.grants;
       result.bank_conflict_losses +=
           now.conflict_losses - st.conflict_losses;

@@ -2,7 +2,7 @@
 // SystemBuilder (see builder.hpp): any number of masters (vector
 // processors, DMA engines, raw ports) reach N independent memory channels
 // — each a full fabric slice of crossbar, monitored link, AXI-Pack adapter
-// and pluggable memory backend — through per-master address-interleaving
+// and word memory — through per-master address-interleaving
 // ChannelRouters (channels(1) needs no router and is the single-endpoint
 // system); ideal-mode processors run on their exclusive ideal memory.
 #pragma once
@@ -16,8 +16,9 @@
 #include "axi/protocol_checker.hpp"
 #include "axi/xbar.hpp"
 #include "dma/engine.hpp"
-#include "mem/backend.hpp"
 #include "mem/backing_store.hpp"
+#include "mem/dram_memory.hpp"
+#include "mem/memory.hpp"
 #include "pack/adapter.hpp"
 #include "sim/kernel.hpp"
 #include "systems/builder.hpp"
@@ -159,13 +160,11 @@ class System {
   pack::AxiPackAdapter& adapter(unsigned channel) {
     return *channels_[channel].adapter;
   }
-  /// Channel 0's memory backend (the only one on single-channel systems);
-  /// null on fabric-less (IDEAL) systems.
-  const mem::MemoryBackend* memory_backend() const {
-    return channels_.empty() ? nullptr : channels_.front().backend.get();
-  }
-  const mem::MemoryBackend* memory_backend(unsigned channel) const {
-    return channels_[channel].backend.get();
+  /// The word memory behind channel `channel`'s adapter; null on
+  /// fabric-less (IDEAL) systems, which have no channels.
+  const mem::WordMemory* memory(unsigned channel) const {
+    return channel < channels_.size() ? channels_[channel].memory.get()
+                                      : nullptr;
   }
   /// Channel 0's monitored-link counters; null when built with
   /// monitor(false). Multi-channel callers aggregate over bus_stats(c).
@@ -228,7 +227,7 @@ class System {
     sim::FaultStats faults;
     sim::RetryStats retry;
     std::vector<axi::BusStats> bus;
-    std::vector<mem::MemoryBackendStats> mem;
+    std::vector<mem::MemStats> mem;
     std::vector<pack::CoalescerStats> co;
     std::vector<pack::IndirectWordStats> iw;
   };
@@ -237,7 +236,7 @@ class System {
   sim::RetryStats aggregate_retry() const;
   /// Resets every per-request latency histogram a run merges.
   void clear_latency_histograms();
-  /// Fills the fabric/backend/fault/retry measurements of `result`
+  /// Fills the fabric/memory/fault/retry measurements of `result`
   /// (requires result.cycles set) and merges the latency histograms.
   /// Returns false — with result.correct/error set — on a hard failure
   /// (protocol violation without a fault plan, unrecoverable fault).
@@ -252,8 +251,8 @@ class System {
   };
 
   /// One memory channel's fabric slice: its crossbar (several masters),
-  /// monitored link + checker (monitor(true)), and its adapter + backend.
-  /// All backends decode absolute addresses against the one shared
+  /// monitored link + checker (monitor(true)), and its adapter + memory.
+  /// All memories decode absolute addresses against the one shared
   /// BackingStore, so data placement is channel-count-invariant.
   struct Channel {
     std::unique_ptr<axi::AxiPort> mid;           ///< xbar -> link hop
@@ -261,7 +260,8 @@ class System {
     std::unique_ptr<axi::AxiXbar> xbar;
     std::unique_ptr<axi::AxiLink> link;
     std::unique_ptr<axi::ProtocolChecker> checker;
-    std::unique_ptr<mem::MemoryBackend> backend;
+    std::unique_ptr<mem::WordMemory> memory;
+    mem::DramMemory* dram = nullptr;  ///< `memory` when it is a DramMemory
     std::unique_ptr<pack::AxiPackAdapter> adapter;
   };
 

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "mem/backend.hpp"
+#include "mem/memory.hpp"
 #include "util/rng.hpp"
 #include "word_driver.hpp"
 
@@ -28,13 +28,11 @@ constexpr std::uint64_t kBase = 0x8000'0000ull;
 constexpr unsigned kPorts = 4;
 constexpr std::uint64_t kWords = 1 << 12;
 
-/// One backend instance with its own kernel and store, driven by raw word
-/// requests; collects per-port responses in arrival order.
-/// Shared backend parameterization: aggressive dram timing (small rows, a
+/// Shared memory parameterization: aggressive dram timing (small rows, a
 /// short refresh interval) so a few thousand cycles of traffic cross many
 /// refresh windows; 7 SRAM banks so conflicts are common.
-MemoryBackendConfig diff_cfg(const std::string& name) {
-  MemoryBackendConfig cfg;
+MemoryConfig diff_cfg(const std::string& name) {
+  MemoryConfig cfg;
   cfg.name = name;
   cfg.num_ports = kPorts;
   cfg.num_banks = 7;
@@ -46,43 +44,44 @@ MemoryBackendConfig diff_cfg(const std::string& name) {
   return cfg;
 }
 
-struct BackendRun {
-  explicit BackendRun(const MemoryBackendConfig& cfg)
-      : store(kBase, kWords * 4) {
-    // Deterministic pseudo-random initial image, identical per backend.
+/// One memory instance with its own kernel and store, driven by raw word
+/// requests; collects per-port responses in arrival order.
+struct MemoryRun {
+  explicit MemoryRun(const MemoryConfig& cfg) : store(kBase, kWords * 4) {
+    // Deterministic pseudo-random initial image, identical per memory.
     for (std::uint64_t w = 0; w < kWords; ++w) {
       store.write_u32(kBase + 4 * w, static_cast<std::uint32_t>(w * 40503u));
     }
-    backend = BackendRegistry::instance().create(kernel, store, cfg);
+    memory = make_memory(kernel, store, cfg);
   }
 
   /// Replays per-port request lists through the shared drive loop; true
   /// when every response arrived.
   bool replay(const std::vector<std::vector<WordReq>>& reqs,
               sim::Cycle max_cycles = 4'000'000) {
-    return testutil::replay_word_requests(kernel, backend->word_memory(),
-                                          reqs, responses, max_cycles);
+    return testutil::replay_word_requests(kernel, *memory, reqs, responses,
+                                          max_cycles);
   }
 
   sim::Kernel kernel;
   BackingStore store;
-  std::unique_ptr<MemoryBackend> backend;
+  std::unique_ptr<WordMemory> memory;
   std::vector<std::vector<WordResp>> responses;
 };
 
-const std::vector<std::string>& backend_names() {
+const std::vector<std::string>& memory_names() {
   static const std::vector<std::string> names = {"ideal", "banked", "dram"};
   return names;
 }
 
 /// Diffs every run's collected per-port response streams (tag order,
 /// read/write kind, read data) and final memory image against runs[0].
-void expect_runs_agree(const std::vector<std::unique_ptr<BackendRun>>& runs,
+void expect_runs_agree(const std::vector<std::unique_ptr<MemoryRun>>& runs,
                        const std::vector<std::string>& labels,
                        const char* what) {
-  const BackendRun& ref = *runs[0];
+  const MemoryRun& ref = *runs[0];
   for (std::size_t r = 1; r < runs.size(); ++r) {
-    const BackendRun& other = *runs[r];
+    const MemoryRun& other = *runs[r];
     const std::string& name = labels[r];
     for (unsigned p = 0; p < kPorts; ++p) {
       ASSERT_EQ(other.responses[p].size(), ref.responses[p].size())
@@ -113,14 +112,14 @@ void expect_runs_agree(const std::vector<std::unique_ptr<BackendRun>>& runs,
 
 /// Runs `reqs` on every backend and checks responses + memory images agree
 /// with the first ("ideal") backend.
-void expect_backends_agree(const std::vector<std::vector<WordReq>>& reqs,
+void expect_memories_agree(const std::vector<std::vector<WordReq>>& reqs,
                            const char* what) {
-  std::vector<std::unique_ptr<BackendRun>> runs;
-  for (const auto& name : backend_names()) {
-    runs.push_back(std::make_unique<BackendRun>(diff_cfg(name)));
+  std::vector<std::unique_ptr<MemoryRun>> runs;
+  for (const auto& name : memory_names()) {
+    runs.push_back(std::make_unique<MemoryRun>(diff_cfg(name)));
     ASSERT_TRUE(runs.back()->replay(reqs)) << what << " " << name;
   }
-  expect_runs_agree(runs, backend_names(), what);
+  expect_runs_agree(runs, memory_names(), what);
 }
 
 TEST(DifferentialBackends, PartitionedRandomReadWriteStreams) {
@@ -143,7 +142,7 @@ TEST(DifferentialBackends, PartitionedRandomReadWriteStreams) {
         reqs[p].push_back(req);
       }
     }
-    expect_backends_agree(reqs, "partitioned");
+    expect_memories_agree(reqs, "partitioned");
   }
 }
 
@@ -176,15 +175,15 @@ TEST(DifferentialBackends, FloydSampledWriteThenReadPhases) {
     reads[rng.below(kPorts)].push_back(req);
   }
 
-  std::vector<std::unique_ptr<BackendRun>> runs;
-  for (const auto& name : backend_names()) {
-    runs.push_back(std::make_unique<BackendRun>(diff_cfg(name)));
+  std::vector<std::unique_ptr<MemoryRun>> runs;
+  for (const auto& name : memory_names()) {
+    runs.push_back(std::make_unique<MemoryRun>(diff_cfg(name)));
     ASSERT_TRUE(runs.back()->replay(writes)) << name << " write phase";
     ASSERT_TRUE(runs.back()->replay(reads)) << name << " read phase";
   }
   // `responses` holds the read phase (replay resets them); the write
   // phase's effects are covered by the memory-image diff.
-  expect_runs_agree(runs, backend_names(), "floyd");
+  expect_runs_agree(runs, memory_names(), "floyd");
 }
 
 TEST(DifferentialBackends, DramSchedWindowsAgreeOnData) {
@@ -222,17 +221,17 @@ TEST(DifferentialBackends, DramSchedWindowsAgreeOnData) {
       {1, 48, 32},  // head-only over deep FIFOs
       {4, 16, 32},  {32, 48, 32}, {32, 0, 32},  // OOO window, veto on/off
   };
-  std::vector<std::unique_ptr<BackendRun>> runs;
+  std::vector<std::unique_ptr<MemoryRun>> runs;
   std::vector<std::string> labels;
-  runs.push_back(std::make_unique<BackendRun>(diff_cfg("ideal")));
+  runs.push_back(std::make_unique<MemoryRun>(diff_cfg("ideal")));
   labels.push_back("ideal");
   ASSERT_TRUE(runs.back()->replay(reqs)) << "ideal";
   for (const Setting& s : settings) {
-    MemoryBackendConfig cfg = diff_cfg("dram");
+    MemoryConfig cfg = diff_cfg("dram");
     cfg.dram_sched_window = s.window;
     cfg.dram_starve_cap = s.cap;
     cfg.req_depth = s.req_depth;
-    auto run = std::make_unique<BackendRun>(cfg);
+    auto run = std::make_unique<MemoryRun>(cfg);
     const std::string label = "dram-w" + std::to_string(s.window) + "-c" +
                               std::to_string(s.cap) + "-q" +
                               std::to_string(s.req_depth);
@@ -261,14 +260,14 @@ TEST(DifferentialBackends, DramMappingPoliciesAgreeOnData) {
       reqs[p].push_back(req);
     }
   }
-  std::vector<std::unique_ptr<BackendRun>> runs;
+  std::vector<std::unique_ptr<MemoryRun>> runs;
   std::vector<std::string> labels;
   for (const auto mapping :
        {DramMapping::row_interleaved, DramMapping::bank_interleaved,
         DramMapping::permuted}) {
-    MemoryBackendConfig cfg = diff_cfg("dram");
+    MemoryConfig cfg = diff_cfg("dram");
     cfg.dram.mapping = mapping;
-    auto run = std::make_unique<BackendRun>(cfg);
+    auto run = std::make_unique<MemoryRun>(cfg);
     ASSERT_TRUE(run->replay(reqs)) << dram_mapping_name(mapping);
     runs.push_back(std::move(run));
     labels.push_back(dram_mapping_name(mapping));

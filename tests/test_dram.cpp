@@ -101,7 +101,7 @@ TEST(DramAddressMap, PermutedBreaksPowerOfTwoStridePathology) {
 /// Small driving harness around the shared replay loop (word_driver.hpp):
 /// enqueue per-port requests, then run() until every response arrived.
 struct DramHarness {
-  explicit DramHarness(const DramMemoryConfig& cfg)
+  explicit DramHarness(const MemoryConfig& cfg)
       : store(kBase, 1 << 22), mem(kernel, store, cfg) {
     mem.set_trace(&trace);
     pending.resize(cfg.num_ports);
@@ -137,19 +137,20 @@ struct DramHarness {
 };
 
 /// Strict, easily-distinguishable timing set for the legality checks.
-DramMemoryConfig strict_cfg() {
-  DramMemoryConfig cfg;
+MemoryConfig strict_cfg() {
+  MemoryConfig cfg;
+  cfg.name = "dram";
   cfg.num_ports = 4;
-  cfg.timing.bank_groups = 2;
-  cfg.timing.banks_per_group = 2;
-  cfg.timing.row_words = 16;
-  cfg.timing.tRCD = 5;
-  cfg.timing.tCAS = 4;
-  cfg.timing.tRP = 6;
-  cfg.timing.tRAS = 20;
-  cfg.timing.tCCD = 3;
-  cfg.timing.tREFI = 400;
-  cfg.timing.tRFC = 60;
+  cfg.dram.bank_groups = 2;
+  cfg.dram.banks_per_group = 2;
+  cfg.dram.row_words = 16;
+  cfg.dram.tRCD = 5;
+  cfg.dram.tCAS = 4;
+  cfg.dram.tRP = 6;
+  cfg.dram.tRAS = 20;
+  cfg.dram.tCCD = 3;
+  cfg.dram.tREFI = 400;
+  cfg.dram.tRFC = 60;
   return cfg;
 }
 
@@ -229,8 +230,8 @@ TEST(DramTiming, RandomTrafficObeysAllConstraints) {
   for (const auto policy :
        {DramMapping::row_interleaved, DramMapping::bank_interleaved,
         DramMapping::permuted}) {
-    DramMemoryConfig cfg = strict_cfg();
-    cfg.timing.mapping = policy;
+    MemoryConfig cfg = strict_cfg();
+    cfg.dram.mapping = policy;
     DramHarness h(cfg);
     util::Rng rng(7 + static_cast<std::uint64_t>(policy));
     // A small region (few rows per bank) maximizes hit/miss/conflict mix.
@@ -243,14 +244,14 @@ TEST(DramTiming, RandomTrafficObeysAllConstraints) {
     }
     ASSERT_TRUE(h.run()) << dram_mapping_name(policy);
     ASSERT_EQ(h.trace.size(), 600u);
-    check_trace_legality(h.trace, cfg.timing, dram_mapping_name(policy));
+    check_trace_legality(h.trace, cfg.dram, dram_mapping_name(policy));
   }
 }
 
 TEST(DramTiming, SameBankStreamRespectsTccd) {
-  DramMemoryConfig cfg = strict_cfg();
-  cfg.timing.mapping = DramMapping::row_interleaved;
-  cfg.timing.tREFI = 0;  // isolate tCCD from refresh noise
+  MemoryConfig cfg = strict_cfg();
+  cfg.dram.mapping = DramMapping::row_interleaved;
+  cfg.dram.tREFI = 0;  // isolate tCCD from refresh noise
   DramHarness h(cfg);
   // 32 accesses inside one 16-word row: row-interleaved, all in bank 0.
   for (int i = 0; i < 32; ++i) h.enqueue(0, kBase + 4ull * (i % 16));
@@ -259,20 +260,20 @@ TEST(DramTiming, SameBankStreamRespectsTccd) {
   for (std::size_t i = 1; i < h.trace.size(); ++i) {
     EXPECT_EQ(h.trace[i].bank, h.trace[0].bank);
     const sim::Cycle col_prev =
-        h.trace[i - 1].data_at - cfg.timing.tCAS;
-    const sim::Cycle col = h.trace[i].data_at - cfg.timing.tCAS;
-    EXPECT_GE(col, col_prev + cfg.timing.tCCD) << "grant " << i;
+        h.trace[i - 1].data_at - cfg.dram.tCAS;
+    const sim::Cycle col = h.trace[i].data_at - cfg.dram.tCAS;
+    EXPECT_GE(col, col_prev + cfg.dram.tCCD) << "grant " << i;
   }
 }
 
 TEST(DramTiming, RefreshClosesRowsAndStallsTraffic) {
-  DramMemoryConfig cfg = strict_cfg();
-  cfg.timing.mapping = DramMapping::row_interleaved;
+  MemoryConfig cfg = strict_cfg();
+  cfg.dram.mapping = DramMapping::row_interleaved;
   DramHarness h(cfg);
   // Saturate one bank for several refresh intervals.
   for (int i = 0; i < 900; ++i) h.enqueue(0, kBase + 4ull * (i % 16));
   ASSERT_TRUE(h.run());
-  check_trace_legality(h.trace, cfg.timing, "refresh stream");
+  check_trace_legality(h.trace, cfg.dram, "refresh stream");
   // The stream crossed refresh windows: some accesses re-opened the row
   // behind a refresh (closed kind, not the first), and stall cycles were
   // attributed.
@@ -285,17 +286,17 @@ TEST(DramTiming, RefreshClosesRowsAndStallsTraffic) {
   // No grant's data returns inside the window either (the sequence is
   // scheduled entirely before or after it).
   for (const auto& g : h.trace) {
-    const sim::Cycle col = g.data_at - cfg.timing.tCAS;
-    EXPECT_FALSE(col >= cfg.timing.tREFI &&
-                 (col % cfg.timing.tREFI) < cfg.timing.tRFC)
+    const sim::Cycle col = g.data_at - cfg.dram.tCAS;
+    EXPECT_FALSE(col >= cfg.dram.tREFI &&
+                 (col % cfg.dram.tREFI) < cfg.dram.tRFC)
         << "column command inside refresh window";
   }
 }
 
 TEST(DramTiming, DisabledRefreshNeverStalls) {
-  DramMemoryConfig cfg = strict_cfg();
-  cfg.timing.mapping = DramMapping::row_interleaved;  // one bank, one row
-  cfg.timing.tREFI = 0;
+  MemoryConfig cfg = strict_cfg();
+  cfg.dram.mapping = DramMapping::row_interleaved;  // one bank, one row
+  cfg.dram.tREFI = 0;
   DramHarness h(cfg);
   for (int i = 0; i < 900; ++i) h.enqueue(0, kBase + 4ull * (i % 16));
   ASSERT_TRUE(h.run());
@@ -307,8 +308,8 @@ TEST(DramTiming, DisabledRefreshNeverStalls) {
 
 // ---------------------------------------------------------------- stats
 
-TEST(DramStats, HitsPlusMissesEqualsGrantsAndMatchTrace) {
-  DramMemoryConfig cfg = strict_cfg();
+TEST(DramCounters, HitsPlusMissesEqualsGrantsAndMatchTrace) {
+  MemoryConfig cfg = strict_cfg();
   DramHarness h(cfg);
   util::Rng rng(99);
   for (int i = 0; i < 400; ++i) {
@@ -317,7 +318,7 @@ TEST(DramStats, HitsPlusMissesEqualsGrantsAndMatchTrace) {
               static_cast<std::uint32_t>(rng.next()));
   }
   ASSERT_TRUE(h.run());
-  const DramStats& s = h.mem.stats();
+  const MemStats s = h.mem.stats();
   EXPECT_EQ(s.grants, 400u);
   EXPECT_EQ(s.row_hits + s.row_misses, s.grants);
   std::uint64_t hits = 0;
@@ -335,24 +336,24 @@ TEST(DramStats, HitsPlusMissesEqualsGrantsAndMatchTrace) {
   EXPECT_GT(s.row_misses, 0u);
 }
 
-TEST(DramStats, MappingPolicyShapesRowHitRatio) {
+TEST(DramCounters, MappingPolicyShapesRowHitRatio) {
   // One long sequential stream on one port: row-interleaved keeps one bank
   // streaming its row (high hit ratio); bank-interleaved touches every
   // bank but still walks each bank's row in order — both should be hit-
   // heavy, and *neither* may disagree with the trace-derived ratio.
   for (const auto policy :
        {DramMapping::row_interleaved, DramMapping::bank_interleaved}) {
-    DramMemoryConfig cfg = strict_cfg();
-    cfg.timing.mapping = policy;
-    cfg.timing.tREFI = 0;
+    MemoryConfig cfg = strict_cfg();
+    cfg.dram.mapping = policy;
+    cfg.dram.tREFI = 0;
     DramHarness h(cfg);
     for (int i = 0; i < 512; ++i) h.enqueue(0, kBase + 4ull * i);
     ASSERT_TRUE(h.run()) << dram_mapping_name(policy);
-    const DramStats& s = h.mem.stats();
+    const MemStats s = h.mem.stats();
     // Row-interleaved: one activate per 16-word row = 32 misses.
     // Bank-interleaved: one activate per bank per 64-word span = 32 too
     // (4 banks x 16-word rows cover 64 words).
-    EXPECT_EQ(s.row_misses, 512u / cfg.timing.row_words);
+    EXPECT_EQ(s.row_misses, 512u / cfg.dram.row_words);
     EXPECT_GT(s.row_hit_ratio(), 0.9) << dram_mapping_name(policy);
   }
 }
@@ -362,11 +363,11 @@ TEST(DramStats, MappingPolicyShapesRowHitRatio) {
 /// strict_cfg with FIFOs deep enough for the full lookahead window, so the
 /// row-batching scheduler actually reorders (the base strict_cfg keeps the
 /// seed depth of 2, which bounds the effective window to 2).
-DramMemoryConfig batched_cfg() {
-  DramMemoryConfig cfg = strict_cfg();
+MemoryConfig batched_cfg() {
+  MemoryConfig cfg = strict_cfg();
   cfg.req_depth = 32;
-  cfg.sched_window = 32;
-  cfg.starve_cap = 48;
+  cfg.dram_sched_window = 32;
+  cfg.dram_starve_cap = 48;
   return cfg;
 }
 
@@ -377,8 +378,8 @@ TEST(DramBatching, RandomTrafficWithDeepWindowsObeysAllConstraints) {
   for (const auto policy :
        {DramMapping::row_interleaved, DramMapping::bank_interleaved,
         DramMapping::permuted}) {
-    DramMemoryConfig cfg = batched_cfg();
-    cfg.timing.mapping = policy;
+    MemoryConfig cfg = batched_cfg();
+    cfg.dram.mapping = policy;
     DramHarness h(cfg);
     util::Rng rng(11 + static_cast<std::uint64_t>(policy));
     for (int i = 0; i < 800; ++i) {
@@ -390,7 +391,7 @@ TEST(DramBatching, RandomTrafficWithDeepWindowsObeysAllConstraints) {
     }
     ASSERT_TRUE(h.run()) << dram_mapping_name(policy);
     ASSERT_EQ(h.trace.size(), 800u);
-    check_trace_legality(h.trace, cfg.timing, dram_mapping_name(policy));
+    check_trace_legality(h.trace, cfg.dram, dram_mapping_name(policy));
     for (unsigned p = 0; p < cfg.num_ports; ++p) {
       for (std::uint32_t i = 0; i < h.responses[p].size(); ++i) {
         EXPECT_EQ(h.responses[p][i].tag, i)
@@ -408,10 +409,10 @@ TEST(DramBatching, InterleavedTwoRowStreamsBatchOnTheOpenRow) {
   // data.
   auto run_with = [](std::size_t window, double* hit_ratio,
                      std::vector<std::vector<WordResp>>* responses) {
-    DramMemoryConfig cfg = batched_cfg();
-    cfg.sched_window = window;
-    cfg.timing.mapping = DramMapping::row_interleaved;
-    cfg.timing.tREFI = 0;
+    MemoryConfig cfg = batched_cfg();
+    cfg.dram_sched_window = window;
+    cfg.dram.mapping = DramMapping::row_interleaved;
+    cfg.dram.tREFI = 0;
     DramHarness h(cfg);
     // 4 banks x 16-word rows: words 0..15 = (bank 0, row 0) and words
     // 64..79 = (bank 0, row 1). One port interleaves the two rows at
@@ -450,9 +451,9 @@ TEST(DramBatching, StarvationCapBoundsDeferral) {
   // same bank. The batching veto and hit-priority may defer port 0's miss
   // for at most starve_cap grantable cycles (plus bounded timing slack) —
   // then the miss must win.
-  DramMemoryConfig cfg = batched_cfg();
-  cfg.timing.mapping = DramMapping::row_interleaved;
-  cfg.timing.tREFI = 0;
+  MemoryConfig cfg = batched_cfg();
+  cfg.dram.mapping = DramMapping::row_interleaved;
+  cfg.dram.tREFI = 0;
   DramHarness h(cfg);
   sim::Kernel& k = h.kernel;
   mem::WordPort& hot = h.mem.port(1);
@@ -490,10 +491,10 @@ TEST(DramBatching, StarvationCapBoundsDeferral) {
   }
   ASSERT_TRUE(miss_grant != nullptr) << "starved request never granted";
   // Bound: visibility + deferral budget + one full row cycle of slack.
-  const sim::Cycle slack = cfg.timing.tRAS + cfg.timing.tRP +
-                           cfg.timing.tRCD + cfg.timing.tCAS + 8;
-  EXPECT_LE(miss_grant->cycle, miss_enqueued_at + cfg.starve_cap + slack);
-  EXPECT_GE(h.mem.stats().starved_grants, 1u);
+  const sim::Cycle slack = cfg.dram.tRAS + cfg.dram.tRP +
+                           cfg.dram.tRCD + cfg.dram.tCAS + 8;
+  EXPECT_LE(miss_grant->cycle, miss_enqueued_at + cfg.dram_starve_cap + slack);
+  EXPECT_GE(h.mem.stats().row_starved_grants, 1u);
 }
 
 TEST(DramBatching, BackpressuredPortIsNeverStarvedOrWedged) {
@@ -504,10 +505,10 @@ TEST(DramBatching, BackpressuredPortIsNeverStarvedOrWedged) {
   // port's same-row read is still served from the open row before a
   // competing miss closes it, responses arrive in order, and everything
   // completes.
-  DramMemoryConfig cfg = batched_cfg();
+  MemoryConfig cfg = batched_cfg();
   cfg.resp_depth = 1;  // single-slot response path: trivially backpressured
-  cfg.timing.mapping = DramMapping::row_interleaved;
-  cfg.timing.tREFI = 0;
+  cfg.dram.mapping = DramMapping::row_interleaved;
+  cfg.dram.tREFI = 0;
   DramHarness h(cfg);
   sim::Kernel& k = h.kernel;
   mem::WordPort& victim = h.mem.port(0);
@@ -567,10 +568,10 @@ TEST(DramBatching, DeepGrantNeverWedgesAShallowResponsePath) {
   // drains, and the head stays grantable. Shape that wedged: the head is
   // a row conflict on one bank while a deeper read targets another,
   // immediately grantable bank.
-  DramMemoryConfig cfg = batched_cfg();
+  MemoryConfig cfg = batched_cfg();
   cfg.resp_depth = 1;
-  cfg.timing.mapping = DramMapping::row_interleaved;
-  cfg.timing.tREFI = 0;
+  cfg.dram.mapping = DramMapping::row_interleaved;
+  cfg.dram.tREFI = 0;
   DramHarness h(cfg);
   // Open row 0 of bank 1 (words 16..31), then make port 0's head a row
   // conflict on bank 1 while its next entry reads the closed bank 0.
@@ -590,9 +591,9 @@ TEST(DramOrdering, SameWordProgramOrderSurvivesReordering) {
   // with same-row-adjacent traffic that invites reordering: word-level
   // dependencies must hold (each read sees the latest older write), and
   // responses return in request order.
-  DramMemoryConfig cfg = batched_cfg();
-  cfg.timing.mapping = DramMapping::row_interleaved;
-  cfg.timing.tREFI = 0;
+  MemoryConfig cfg = batched_cfg();
+  cfg.dram.mapping = DramMapping::row_interleaved;
+  cfg.dram.tREFI = 0;
   DramHarness h(cfg);
   const std::uint64_t kWord = 5;
   const std::uint32_t original = h.store.read_u32(kBase + 4 * kWord);
@@ -614,14 +615,14 @@ TEST(DramOrdering, SameWordProgramOrderSurvivesReordering) {
   EXPECT_EQ(h.store.read_u32(kBase + 4 * kWord), 0x22222222u);
 }
 
-TEST(DramStats, BatchedAccountingMatchesTraceAndExercisesDeferral) {
+TEST(DramCounters, BatchedAccountingMatchesTraceAndExercisesDeferral) {
   // Under the batching scheduler the stat counters must still agree with
   // the trace (a batched hit after a deferred close is a real hit; a
   // starved grant is a real miss), and the two-row interleave must
   // actually exercise the deferral path.
-  DramMemoryConfig cfg = batched_cfg();
-  cfg.timing.mapping = DramMapping::row_interleaved;
-  cfg.timing.tREFI = 0;
+  MemoryConfig cfg = batched_cfg();
+  cfg.dram.mapping = DramMapping::row_interleaved;
+  cfg.dram.tREFI = 0;
   DramHarness h(cfg);
   util::Rng rng(1234);
   for (int i = 0; i < 600; ++i) {
@@ -633,7 +634,7 @@ TEST(DramStats, BatchedAccountingMatchesTraceAndExercisesDeferral) {
               static_cast<std::uint32_t>(rng.next()));
   }
   ASSERT_TRUE(h.run());
-  const DramStats& s = h.mem.stats();
+  const MemStats s = h.mem.stats();
   EXPECT_EQ(s.grants, 600u);
   EXPECT_EQ(s.row_hits + s.row_misses, s.grants);
   std::uint64_t hits = 0, misses = 0;
@@ -646,17 +647,17 @@ TEST(DramStats, BatchedAccountingMatchesTraceAndExercisesDeferral) {
   }
   EXPECT_EQ(s.row_hits, hits);
   EXPECT_EQ(s.row_misses, misses);
-  EXPECT_GT(s.batch_defer_cycles, 0u) << "deferral path never exercised";
+  EXPECT_GT(s.row_batch_defer_cycles, 0u) << "deferral path never exercised";
 }
 
 // ---------------------------------------------------------------- ordering
 
 TEST(DramOrdering, VariableLatencyResponsesStayInRequestOrder) {
-  DramMemoryConfig cfg = strict_cfg();
-  cfg.timing.tREFI = 0;
+  MemoryConfig cfg = strict_cfg();
+  cfg.dram.tREFI = 0;
   // Port 0 alternates rows within one bank (row-interleaved): latencies
   // differ between hits and misses, response order must not.
-  cfg.timing.mapping = DramMapping::row_interleaved;
+  cfg.dram.mapping = DramMapping::row_interleaved;
   DramHarness h(cfg);
   for (int i = 0; i < 24; ++i) {
     const std::uint64_t row = static_cast<std::uint64_t>(i % 3);
@@ -670,7 +671,7 @@ TEST(DramOrdering, VariableLatencyResponsesStayInRequestOrder) {
 }
 
 TEST(DramOrdering, ReadsReturnStoreContentsAndWritesLand) {
-  DramMemoryConfig cfg = strict_cfg();
+  MemoryConfig cfg = strict_cfg();
   DramHarness h(cfg);
   h.enqueue(0, kBase + 4 * 100);                       // read original
   h.enqueue(0, kBase + 4 * 100, true, 0xDEADBEEF);     // overwrite
@@ -690,7 +691,7 @@ TEST(DramOrdering, ReadsReturnStoreContentsAndWritesLand) {
 /// several tREFI epochs in one step. Returns the drained response sets
 /// per burst for cross-harness comparison.
 std::vector<std::vector<std::vector<WordResp>>> drive_bursty_with_gaps(
-    DramHarness& h, const DramMemoryConfig& cfg) {
+    DramHarness& h, const MemoryConfig& cfg) {
   std::vector<std::vector<std::vector<WordResp>>> per_burst;
   util::Rng rng(7);
   for (int burst = 0; burst < 6; ++burst) {
@@ -707,7 +708,7 @@ std::vector<std::vector<std::vector<WordResp>>> drive_bursty_with_gaps(
     // Idle span: no traffic at all, crossing several refresh epochs. The
     // refresh sweep is caught up lazily, so the skipped epochs must be
     // accounted for exactly when the next burst arrives.
-    h.kernel.run(5 * cfg.timing.tREFI + 31);
+    h.kernel.run(5 * cfg.dram.tREFI + 31);
   }
   return per_burst;
 }
@@ -719,15 +720,15 @@ TEST(DramSleep, IdleFastForwardAcrossRefreshEpochsStaysLegal) {
   // where per-cycle ticking would have: the full command trace across
   // six burst/idle rounds has to satisfy every timing and refresh-window
   // rule.
-  DramMemoryConfig cfg = strict_cfg();
-  cfg.timing.tREFI = 150;  // short epochs: every idle span skips several
-  cfg.timing.tRFC = 40;
+  MemoryConfig cfg = strict_cfg();
+  cfg.dram.tREFI = 150;  // short epochs: every idle span skips several
+  cfg.dram.tRFC = 40;
   DramHarness h(cfg);
   const auto bursts = drive_bursty_with_gaps(h, cfg);
   EXPECT_EQ(bursts.size(), 6u);
-  check_trace_legality(h.trace, cfg.timing, "multi-epoch fast-forward");
+  check_trace_legality(h.trace, cfg.dram, "multi-epoch fast-forward");
   EXPECT_GT(h.mem.stats().refresh_stall_cycles, 0u);
-  EXPECT_GT(h.kernel.now(), 25u * cfg.timing.tREFI)
+  EXPECT_GT(h.kernel.now(), 25u * cfg.dram.tREFI)
       << "the idle spans never actually crossed refresh epochs";
 }
 
@@ -736,9 +737,9 @@ TEST(DramSleep, MultiEpochSkipMatchesNaivePerCycleTicking) {
   // response data and every counter must be bit-identical, cycle for
   // cycle — the lazily-settled refresh-stall accrual and the multi-epoch
   // refresh catch-up may not drift from per-cycle accounting.
-  DramMemoryConfig cfg = strict_cfg();
-  cfg.timing.tREFI = 150;
-  cfg.timing.tRFC = 40;
+  MemoryConfig cfg = strict_cfg();
+  cfg.dram.tREFI = 150;
+  cfg.dram.tRFC = 40;
   DramHarness gated(cfg);
   DramHarness naive(cfg);
   naive.kernel.set_gating(false);
@@ -773,10 +774,10 @@ TEST(DramSleep, MultiEpochSkipMatchesNaivePerCycleTicking) {
   EXPECT_EQ(gated.mem.stats().row_misses, naive.mem.stats().row_misses);
   EXPECT_EQ(gated.mem.stats().refresh_stall_cycles,
             naive.mem.stats().refresh_stall_cycles);
-  EXPECT_EQ(gated.mem.stats().batch_defer_cycles,
-            naive.mem.stats().batch_defer_cycles);
-  EXPECT_EQ(gated.mem.stats().starved_grants,
-            naive.mem.stats().starved_grants);
+  EXPECT_EQ(gated.mem.stats().row_batch_defer_cycles,
+            naive.mem.stats().row_batch_defer_cycles);
+  EXPECT_EQ(gated.mem.stats().row_starved_grants,
+            naive.mem.stats().row_starved_grants);
   EXPECT_GT(gated.mem.stats().refresh_stall_cycles, 0u);
 }
 
@@ -788,7 +789,7 @@ TEST(DramSleep, SleepNeverSkipsInFlightResponses) {
   // would time the run out.
   sim::Cycle delivered_at[2] = {0, 0};
   for (const bool gated_mode : {false, true}) {
-    DramMemoryConfig cfg = strict_cfg();
+    MemoryConfig cfg = strict_cfg();
     DramHarness h(cfg);
     h.kernel.set_gating(gated_mode);
     WordPort& port = h.mem.port(0);
@@ -819,7 +820,7 @@ TEST(DramSleep, BlockedReleaseSurvivesSlowConsumer) {
   // every response, at cycles identical to the naive kernel.
   std::vector<sim::Cycle> pop_cycles[2];
   for (const bool gated_mode : {false, true}) {
-    DramMemoryConfig cfg = strict_cfg();
+    MemoryConfig cfg = strict_cfg();
     cfg.req_depth = 8;   // room to queue the whole burst up front
     cfg.resp_depth = 1;  // release blocks after a single response
     DramHarness h(cfg);

@@ -84,7 +84,7 @@ TEST(PlanWorkload, SeesBuilderPatchesNotJustNames) {
                                  .dataflow),
             static_cast<int>(wl::Dataflow::colwise));
   b.memory("dram");
-  EXPECT_EQ(b.memory_backend_name(), "dram");
+  EXPECT_EQ(b.memory_name(), "dram");
   EXPECT_EQ(static_cast<int>(sys::plan_workload(wl::KernelKind::gemv, b)
                                  .dataflow),
             static_cast<int>(wl::Dataflow::rowwise));

@@ -22,11 +22,17 @@
 namespace axipack {
 namespace {
 
-/// Counters pinned per closed-loop run.
+/// Counters pinned per closed-loop run: the cycle count, every memory
+/// stat a run reports and the coalescer's merge counters.
 struct Golden {
   std::uint64_t cycles;
   std::uint64_t bank_grants;
+  std::uint64_t bank_conflict_losses;
   std::uint64_t row_hits;
+  std::uint64_t row_misses;
+  std::uint64_t refresh_stall_cycles;
+  std::uint64_t row_batch_defer_cycles;
+  std::uint64_t row_starved_grants;
   std::uint64_t coalesce_merged;
   std::uint64_t coalesce_unique;
 };
@@ -35,6 +41,8 @@ struct ClosedCase {
   const char* scenario;
   wl::KernelKind kernel;
   Golden want;
+  unsigned n = 64;
+  unsigned nnz_per_row = 24;  ///< indirect kernels only
 };
 
 void expect_golden(const sys::RunResult& r, const Golden& want,
@@ -42,29 +50,54 @@ void expect_golden(const sys::RunResult& r, const Golden& want,
   EXPECT_TRUE(r.correct) << what << ": " << r.error;
   EXPECT_EQ(r.cycles, want.cycles) << what;
   EXPECT_EQ(r.bank_grants, want.bank_grants) << what;
+  EXPECT_EQ(r.bank_conflict_losses, want.bank_conflict_losses) << what;
   EXPECT_EQ(r.row_hits, want.row_hits) << what;
+  EXPECT_EQ(r.row_misses, want.row_misses) << what;
+  EXPECT_EQ(r.refresh_stall_cycles, want.refresh_stall_cycles) << what;
+  EXPECT_EQ(r.row_batch_defer_cycles, want.row_batch_defer_cycles) << what;
+  EXPECT_EQ(r.row_starved_grants, want.row_starved_grants) << what;
   EXPECT_EQ(r.coalesce_merged, want.coalesce_merged) << what;
   EXPECT_EQ(r.coalesce_unique, want.coalesce_unique) << what;
 }
 
 TEST(GoldenCycles, ClosedLoopKernels) {
-  // Small inputs: DRAM base vs coalescing pack on a gather kernel, and the
-  // paper's 256-bit 17-bank SRAM SoCs on a strided transpose.
+  // Small inputs: DRAM base vs coalescing pack on a gather kernel, a
+  // refresh-stalled DRAM base on PageRank, a larger gather whose short
+  // starvation cap exercises row batching (every memory stat nonzero), the
+  // paper's 256-bit 17-bank SRAM SoCs on a strided transpose, and the
+  // conflict-free ideal memory, which reports no memory stats.
   const ClosedCase cases[] = {
-      {"base-dram", wl::KernelKind::spmv, {3443, 5509, 5493, 0, 0}},
+      {"base-dram",
+       wl::KernelKind::spmv,
+       {3443, 5509, 32, 5493, 16, 0, 0, 0, 0, 0}},
       {"pack-dram-coalesce",
        wl::KernelKind::spmv,
-       {3524, 3117, 3101, 1925, 3117}},
-      {"base-256-17b", wl::KernelKind::ismt, {7813, 8512, 0, 0, 0}},
-      {"pack-256-17b", wl::KernelKind::ismt, {2332, 8512, 0, 0, 0}},
+       {3524, 3117, 0, 3101, 16, 0, 0, 0, 1925, 3117}},
+      {"base-dram",
+       wl::KernelKind::prank,
+       {8512, 13872, 26, 13840, 32, 2417, 0, 0, 0, 0}},
+      {"pack-256-dram-c4",
+       wl::KernelKind::spmv,
+       {18233, 38500, 37809, 32338, 6162, 9302, 140, 40, 0, 0},
+       192,
+       64},
+      {"base-256-17b",
+       wl::KernelKind::ismt,
+       {7813, 8512, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"pack-256-17b",
+       wl::KernelKind::ismt,
+       {2332, 8512, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"pack-256-idealmem",
+       wl::KernelKind::ismt,
+       {2332, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
   };
   std::vector<sys::WorkloadJob> jobs;
   for (const ClosedCase& c : cases) {
     sys::WorkloadJob job;
     job.scenario = c.scenario;
     job.cfg = sys::plan_workload(c.kernel, c.scenario);
-    job.cfg.n = 64;
-    if (wl::kernel_is_indirect(c.kernel)) job.cfg.nnz_per_row = 24;
+    job.cfg.n = c.n;
+    if (wl::kernel_is_indirect(c.kernel)) job.cfg.nnz_per_row = c.nnz_per_row;
     jobs.push_back(job);
   }
   const auto results = sys::run_workloads(jobs, /*threads=*/1);

@@ -199,7 +199,7 @@ TEST(AxiXbarTest, PackBurstsPassThroughUntouched) {
   axi::AxiPort m0(k, 2, "m0");
   axi::AxiPort s0(k, 2, "s0");
   axi::AxiXbar xbar(k, {&m0}, {&s0}, {{kSlave0Base, kRegion, 0}});
-  mem::BankedMemoryConfig mc;
+  mem::MemoryConfig mc;
   mem::BankedMemory memory(k, store, mc);
   pack::AdapterConfig ac;
   pack::AxiPackAdapter adapter(k, s0, memory, ac);
@@ -269,7 +269,7 @@ TEST(WidthConverterTest, PackBurstRepacked) {
   axi::AxiPort up(k, 2, "up");
   axi::AxiPort down(k, 2, "down");
   axi::AxiWidthConverter conv(k, up, 32, down, 8);
-  mem::BankedMemoryConfig mc;
+  mem::MemoryConfig mc;
   mc.num_ports = 2;  // 8B bus -> 2 word ports
   mem::BankedMemory memory(k, store, mc);
   pack::AdapterConfig ac;
@@ -307,7 +307,7 @@ struct DownsizedFabric {
   axi::AxiPort up;
   axi::AxiPort down;
   axi::AxiWidthConverter conv;
-  mem::BankedMemoryConfig mc;
+  mem::MemoryConfig mc;
   std::unique_ptr<mem::BankedMemory> memory;
   std::unique_ptr<pack::AxiPackAdapter> adapter;
 

@@ -79,7 +79,7 @@ TEST(BankMap, StridePathology) {
 class BankedMemoryTest : public ::testing::Test {
  protected:
   BankedMemoryTest() : store_(kBase, 1 << 20) {
-    BankedMemoryConfig cfg;
+    MemoryConfig cfg;
     cfg.num_ports = 4;
     cfg.num_banks = 7;
     memory_ = std::make_unique<BankedMemory>(kernel_, store_, cfg);
@@ -200,7 +200,7 @@ TEST(IdealMemory, AlwaysGrantsAllPorts) {
   sim::Kernel kernel;
   BackingStore store(kBase, 1 << 16);
   for (std::uint32_t i = 0; i < 64; ++i) store.write_u32(kBase + 4 * i, i);
-  IdealMemoryConfig cfg;
+  MemoryConfig cfg;
   cfg.num_ports = 8;
   IdealMemory mem(kernel, store, cfg);
   // All 8 ports target the same word — no conflicts in ideal memory.

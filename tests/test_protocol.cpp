@@ -180,7 +180,7 @@ TEST_P(RandomTraffic, MixedReadsMatchGoldenUnderBackpressure) {
   axi::AxiLink link(kernel, master, slave);
   axi::ProtocolChecker checker(32);
   link.attach_checker(&checker);
-  mem::BankedMemoryConfig mc;
+  mem::MemoryConfig mc;
   mc.num_ports = 8;
   mc.num_banks = banks;
   mem::BankedMemory memory(kernel, store, mc);
@@ -273,7 +273,7 @@ TEST(RandomTraffic, MixedWritesLandCorrectlyUnderChecker) {
   axi::AxiLink link(kernel, master, slave);
   axi::ProtocolChecker checker(32);
   link.attach_checker(&checker);
-  mem::BankedMemoryConfig mc;
+  mem::MemoryConfig mc;
   mc.num_ports = 8;
   mc.num_banks = 17;
   mem::BankedMemory memory(kernel, store, mc);

@@ -1,6 +1,7 @@
 // ScenarioRegistry and SystemBuilder topology tests: every registered
-// scenario must build, parametric names must parse, memory backends must be
-// pluggable, and the dual-master scenario's run results must be exact.
+// scenario must build, parametric names must parse, every memory config
+// the builder can produce must be validated, and the dual-master
+// scenario's run results must be exact.
 #include "test_common.hpp"
 
 #include <algorithm>
@@ -8,7 +9,7 @@
 #include <string>
 
 #include "dma/descriptor.hpp"
-#include "mem/backend.hpp"
+#include "mem/memory.hpp"
 #include "systems/runner.hpp"
 #include "systems/scenario.hpp"
 #include "systems/system.hpp"
@@ -94,15 +95,60 @@ TEST(ScenarioRegistry, CustomScenariosCanBeRegistered) {
   EXPECT_TRUE(result.correct) << result.error;
 }
 
-TEST(MemoryBackends, RegistryListsBuiltins) {
-  auto& reg = mem::BackendRegistry::instance();
-  EXPECT_TRUE(reg.contains("banked"));
-  EXPECT_TRUE(reg.contains("ideal"));
-  EXPECT_TRUE(reg.contains("dram"));
-  EXPECT_FALSE(reg.contains("hbm3-someday"));
+TEST(Memories, ValidateAcceptsTheThreeNamesAndRejectsBadConfigs) {
+  // build() aborts on exactly the configs validate() rejects (an abort
+  // cannot be observed in-process), so check validate() itself.
+  const auto with = [](const char* name) {
+    mem::MemoryConfig cfg;
+    cfg.name = name;
+    return cfg;
+  };
+  for (const char* name : {"banked", "ideal", "dram"}) {
+    EXPECT_EQ(mem::validate(with(name)), "") << name;
+    mem::MemoryConfig no_req = with(name);
+    no_req.req_depth = 0;
+    EXPECT_NE(mem::validate(no_req), "") << name << " req_depth 0";
+    mem::MemoryConfig no_resp = with(name);
+    no_resp.resp_depth = 0;
+    EXPECT_NE(mem::validate(no_resp), "") << name << " resp_depth 0";
+  }
+  const std::string unknown = mem::validate(with("hbm3-someday"));
+  EXPECT_NE(unknown.find("banked, ideal, dram"), std::string::npos)
+      << unknown;
+
+  mem::MemoryConfig cfg = with("banked");
+  cfg.num_banks = 0;
+  EXPECT_NE(mem::validate(cfg), "") << "banked, 0 banks";
+  cfg = with("banked");
+  cfg.latency = 0;
+  EXPECT_NE(mem::validate(cfg), "") << "banked, latency 0";
+  cfg = with("ideal");
+  cfg.latency = 0;
+  EXPECT_NE(mem::validate(cfg), "") << "ideal, latency 0";
+  cfg = with("dram");
+  cfg.dram_sched_window = 0;
+  EXPECT_NE(mem::validate(cfg), "") << "dram, window 0";
+  cfg = with("dram");
+  cfg.dram.bank_groups = 16;  // 16 x 4 = 64 banks: the scheduler's limit
+  EXPECT_EQ(mem::validate(cfg), "") << "dram, 64 banks";
+  cfg.dram.bank_groups = 17;
+  EXPECT_NE(mem::validate(cfg), "") << "dram, 68 banks";
+  cfg = with("dram");
+  cfg.dram.tREFI = cfg.dram.tRFC + cfg.dram.tRP + cfg.dram.tRCD;
+  EXPECT_NE(mem::validate(cfg), "") << "dram, no room between refreshes";
+
+  // Fields a memory does not use are not checked: the ideal memory has no
+  // banks and the DRAM latency comes from its timing set.
+  cfg = with("ideal");
+  cfg.num_banks = 0;
+  EXPECT_EQ(mem::validate(cfg), "") << "ideal ignores num_banks";
+  cfg = with("dram");
+  cfg.latency = 0;
+  cfg.num_banks = 0;
+  EXPECT_EQ(mem::validate(cfg), "") << "dram ignores latency and num_banks";
 }
 
-TEST(MemoryBackends, DramScenariosRunEndToEnd) {
+TEST(Memories, DramScenariosRunEndToEnd) {
   // base-dram / pack-dram resolve through the registry, execute a real
   // workload over the DRAM timing model, and report row-buffer stats.
   auto& reg = ScenarioRegistry::instance();
@@ -120,7 +166,7 @@ TEST(MemoryBackends, DramScenariosRunEndToEnd) {
   }
 }
 
-TEST(MemoryBackends, DramParametricFamilyParses) {
+TEST(Memories, DramParametricFamilyParses) {
   auto& reg = ScenarioRegistry::instance();
   EXPECT_TRUE(reg.contains("pack-128-dram"));
   EXPECT_TRUE(reg.contains("base-64-dram"));
@@ -135,7 +181,7 @@ TEST(MemoryBackends, DramParametricFamilyParses) {
   EXPECT_GT(r.row_hits, 0u);
 }
 
-TEST(MemoryBackends, DramSchedulerKnobSuffixesParse) {
+TEST(Memories, DramSchedulerKnobSuffixesParse) {
   auto& reg = ScenarioRegistry::instance();
   // Window / cap / request-depth knobs, in any order, each at most once.
   EXPECT_TRUE(reg.contains("pack-256-dram-w1"));
@@ -154,7 +200,7 @@ TEST(MemoryBackends, DramSchedulerKnobSuffixesParse) {
   EXPECT_FALSE(reg.contains("pack-256-dram-"));
 }
 
-TEST(MemoryBackends, RepeatedKnobNamesTheOffender) {
+TEST(Memories, RepeatedKnobNamesTheOffender) {
   // A repeated knob must be rejected with a diagnostic naming the knob —
   // historically it disengaged silently and surfaced only as a generic
   // "unknown scenario" abort far from the typo.
@@ -226,7 +272,7 @@ TEST(OpenLoopScenarios, TrafficKnobBuildsADriverAndKeepsMasterNumbering) {
   EXPECT_TRUE(pack->dma(pack->num_masters() - 1).config().use_pack);
 }
 
-TEST(MemoryBackends, SchedWindowScenarioRunsAndShiftsHitRatio) {
+TEST(Memories, SchedWindowScenarioRunsAndShiftsHitRatio) {
   // The parsed knobs must actually reach the scheduler: an indirect
   // workload on the head-only scheduler thrashes rows; the batched default
   // recovers them (the PR-3 DRAM finding and its fix, in miniature).
@@ -244,7 +290,7 @@ TEST(MemoryBackends, SchedWindowScenarioRunsAndShiftsHitRatio) {
   EXPECT_EQ(plain.row_batch_defer_cycles, 0u);  // w1 = batching disabled
 }
 
-TEST(MemoryBackends, IdealBackendRemovesBankConflicts) {
+TEST(Memories, IdealBackendRemovesBankConflicts) {
   // Same PACK pipeline, banked vs ideal backend: the ideal backend must
   // report no conflict losses and never be slower.
   auto cfg = sys::plan_workload(wl::KernelKind::spmv, "pack-256-17b");

@@ -226,16 +226,16 @@ def check_file(path):
                 key = tuple(sorted((a, l)
                                    for a, l in point["coords"].items()
                                    if a != "rate"))
-                curves.setdefault(key, []).append(metrics)
+                curves.setdefault(key, []).append(
+                    (float(point["coords"]["rate"]), metrics))
             for key, series in curves.items():
-                knees = {m["knee_rate"] for m in series}
+                knees = {m["knee_rate"] for _, m in series}
                 if len(knees) != 1:
                     fail(path, f"{name}: curve {dict(key)} disagrees on "
                                f"knee_rate: {sorted(knees)}")
                 knee = knees.pop()
-                for m in series:
-                    if (m["offered_rate"] > knee
-                            and m["latency_p99"] <= m["slo_p99"]):
+                for rate, m in series:
+                    if rate > knee and m["latency_p99"] <= m["slo_p99"]:
                         fail(path, f"{name}: curve {dict(key)} meets the "
                                    f"SLO above its recorded knee {knee}")
         # The fault-tolerance sweep must actually inject: the f0 baseline

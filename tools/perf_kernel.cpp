@@ -365,23 +365,17 @@ int main(int argc, char** argv) {
                             return r.coord("channels") == "2";
                           }),
                    kChannelScalingFloor});
-  // The gate's knee is the highest *swept* rate meeting the SLO; the rows'
-  // knee_rate metric (fig11's) is keyed by the realized offered rate.
-  const auto knee = [&ol](const char* system) {
-    double rate = 0.0;
-    for (const sys::ResultRow& r : ol.rows()) {
-      if (r.coord("system") == system &&
-          r.metrics.at("latency_p99") <= kOpenLoopSloP99) {
-        rate = std::max(rate, r.point.param("rate"));
-      }
-    }
-    return rate;
+  // Every row of a curve carries the same stamped knee.
+  const auto knee = [](const sys::ResultRow& r) {
+    return r.metrics.at("knee_rate");
   };
-  const double base_knee = knee("base-256-dram");
-  gates.push_back({"open_loop.knee_ratio",
-                   base_knee > 0 ? knee("pack-256-dram-x512-g16") / base_knee
-                                 : 0.0,
-                   kOpenLoopKneeFloor});
+  const double base_knee = min_of(ol, knee, system_is("base-256-dram"));
+  gates.push_back(
+      {"open_loop.knee_ratio",
+       base_knee > 0
+           ? min_of(ol, knee, system_is("pack-256-dram-x512-g16")) / base_knee
+           : 0.0,
+       kOpenLoopKneeFloor});
   gates.push_back({"open_loop.verified",
                    std::min(verified(ol), verified(ol_naive)), 1.0});
   gates.push_back({"open_loop.identical", identical(ol_gated, ol_naive), 1.0});
