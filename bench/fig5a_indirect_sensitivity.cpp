@@ -60,9 +60,17 @@ void emit(bench::BenchContext& ctx) {
             cfg.coalesce_entries =
                 static_cast<std::size_t>(p.param("coalesce_entries"));
             cfg.num_bursts = p.quick ? 2 : 6;
+            const sys::SensitivityResult m =
+                sys::measure_read_utilization(cfg);
+            // The coalescer counters ride in the point's run (JSON only);
+            // cycles stay 0 there, since a nonzero run.cycles marks a
+            // golden-checked simulation (table columns, all_correct()).
             sys::PointResult out;
-            out.metrics["r_util"] =
-                sys::measure_read_utilization(cfg).r_util;
+            out.run.coalesce_merged = m.coalescer.merged;
+            out.run.coalesce_unique = m.coalescer.unique;
+            out.run.coalesce_peak_pending = m.coalescer.peak_pending;
+            out.run.coalesce_row_groups = m.coalescer.row_groups;
+            out.metrics["r_util"] = m.r_util;
             const double r = p.param("elem_bits") / p.param("index_bits");
             out.metrics["bound"] = r / (r + 1.0);
             return out;

@@ -80,12 +80,12 @@ DmaEngine::DmaEngine(sim::Kernel& k, axi::AxiPort& port, const DmaConfig& cfg)
 void DmaEngine::push(const Descriptor& d) {
   assert(d.elem_bytes >= 4 && d.elem_bytes % 4 == 0 &&
          d.elem_bytes <= cfg_.bus_bytes);
-  enqueue(PendingDesc{d, 0, now_});
+  enqueue(PendingDesc{d, 0, tick_clock()});
 }
 
 void DmaEngine::start_chain(std::uint64_t head) {
   assert(head != 0);
-  enqueue(PendingDesc{{}, head, now_});
+  enqueue(PendingDesc{{}, head, tick_clock()});
 }
 
 void DmaEngine::enqueue(const PendingDesc& p) {
@@ -131,6 +131,7 @@ void DmaEngine::set_completion(std::function<void(std::uint64_t, bool)> fn) {
 }
 
 void DmaEngine::ring_complete(std::uint64_t ordinal, bool ok) {
+  progressed_ = true;
   ++ring_completed_;
   if (completion_) completion_(ordinal, ok);
 }
@@ -141,6 +142,19 @@ void DmaEngine::ring_reject_pending() {
     ++stats_.error_descriptors;
     ring_complete(ring_consumed_++, false);
   }
+}
+
+DmaStats DmaEngine::stats() const {
+  DmaStats s = stats_;
+  if (busy_) s.busy_cycles += tick_clock() - now_;
+  return s;
+}
+
+bool DmaEngine::quiescent() const {
+  if (fault_ || retry_pending_) return false;
+  if (idle()) return true;
+  return !progressed_ && !watchdog() && port_.ar.can_push() &&
+         port_.aw.can_push() && port_.w.can_push();
 }
 
 bool DmaEngine::idle() const {
@@ -190,6 +204,7 @@ void DmaEngine::plan_index_fetch(const Pattern& p) {
 }
 
 void DmaEngine::begin_transfer(const Descriptor& d) {
+  progressed_ = true;
   reset_transfer();
   cur_ = d;
   transfer_active_ = true;
@@ -258,6 +273,7 @@ void DmaEngine::issue_next_read() {
       return;  // no buffer headroom; a lone oversized burst may still go
     }
     port_.ar.push(pr.ar);
+    progressed_ = true;
     ++next_read_;
     ++outstanding_reads_;
     ++stats_.ar_bursts;
@@ -289,6 +305,7 @@ void DmaEngine::issue_next_read() {
     ar.size = static_cast<std::uint8_t>(util::log2_exact(cur_.elem_bytes));
     ar.burst = axi::BurstType::incr;
     port_.ar.push(ar);
+    progressed_ = true;
     ++rd_narrow_next_;
     ++outstanding_reads_;
     ++stats_.ar_bursts;
@@ -370,6 +387,7 @@ void DmaEngine::tick_read() {
 
   const std::optional<axi::AxiR> r = port_.r.try_pop();
   if (!r) return;
+  progressed_ = true;
   assert(!active_reads_.empty() && "R beat with no outstanding read");
   ++stats_.r_beats;
   last_progress_ = now_;
@@ -420,6 +438,7 @@ void DmaEngine::tick_read() {
 void DmaEngine::tick_write() {
   // Collect write responses.
   if (const std::optional<axi::AxiB> b = port_.b.try_pop()) {
+    progressed_ = true;
     assert(outstanding_writes_ > 0);
     --outstanding_writes_;
     last_progress_ = now_;
@@ -438,6 +457,7 @@ void DmaEngine::tick_write() {
         outstanding_writes_ < cfg_.max_outstanding_writes &&
         port_.aw.can_push()) {
       port_.aw.push(planned_writes_[next_aw_].aw);
+      progressed_ = true;
       ++next_aw_;
       ++outstanding_writes_;
       ++stats_.aw_bursts;
@@ -486,6 +506,7 @@ void DmaEngine::tick_write() {
     w_cursor_ += n;
     w.last = w_sent_bytes_ == pw.payload_bytes;
     port_.w.push(w);
+    progressed_ = true;
     ++stats_.w_beats;
     if (w.last) {
       ++w_burst_;
@@ -511,6 +532,7 @@ void DmaEngine::tick_write() {
     aw.size = static_cast<std::uint8_t>(util::log2_exact(n));
     aw.burst = axi::BurstType::incr;
     port_.aw.push(aw);
+    progressed_ = true;
     ++stats_.aw_bursts;
 
     axi::AxiW w;
@@ -579,6 +601,7 @@ void DmaEngine::reset_transfer() {
 
 void DmaEngine::resolve_fault() {
   assert(fault_ && fault_drained());
+  progressed_ = true;
   // A ring prefetch that was in flight when the transfer faulted is
   // abandoned: its slot was not yet consumed and will simply be fetched
   // again. The transfer owns the retry/fail decision.
@@ -632,6 +655,7 @@ void DmaEngine::resolve_fault() {
 }
 
 void DmaEngine::finish_transfer() {
+  progressed_ = true;
   stats_.bytes_moved += cur_.total_bytes();
   ++stats_.descriptors_done;
   transfer_active_ = false;
@@ -672,6 +696,7 @@ void DmaEngine::tick_start() {
     if (queue_.empty()) return;
     const PendingDesc head = queue_.front();
     queue_.pop_front();
+    progressed_ = true;
     if (head.chain == 0) {
       cur_arrival_ = head.arrival;
       begin_transfer(head.desc);
@@ -685,6 +710,7 @@ void DmaEngine::tick_start() {
 }
 
 void DmaEngine::plan_desc_fetch(std::uint64_t addr) {
+  progressed_ = true;
   desc_raw_.clear();
   planned_reads_.clear();
   next_read_ = 0;
@@ -712,6 +738,7 @@ void DmaEngine::drop_fetch() {
 }
 
 void DmaEngine::take_descriptor() {
+  progressed_ = true;
   const std::optional<Descriptor> d = parse_descriptor(desc_raw_.data());
   fetching_desc_ = false;
   desc_raw_.clear();
@@ -753,9 +780,19 @@ void DmaEngine::take_descriptor() {
 }
 
 void DmaEngine::tick() {
-  ++now_;
+  const sim::Cycle now = tick_clock();
+  // The cycles slept since the last tick were busy iff work was in flight
+  // after it: anything that hands an idle engine work also wakes it, so it
+  // ticks again in the same or the next cycle.
+  if (busy_) stats_.busy_cycles += now - now_ - 1;
+  now_ = now;
+  progressed_ = false;
   if (!idle()) ++stats_.busy_cycles;
+  advance();
+  busy_ = !idle();
+}
 
+void DmaEngine::advance() {
   // Backoff between failed attempts: replay once the window closes.
   if (retry_pending_) {
     if (now_ < backoff_until_) return;

@@ -118,7 +118,9 @@ class DmaEngine final : public sim::Component {
   /// True when no descriptor is pending or in flight.
   bool idle() const;
 
-  const DmaStats& stats() const { return stats_; }
+  /// Stats as the naive kernel would report them now: busy_cycles includes
+  /// the cycles slept so far with work in flight.
+  DmaStats stats() const;
   const sim::RetryStats& retry_stats() const { return retry_stats_; }
   const DmaConfig& config() const { return cfg_; }
 
@@ -129,10 +131,12 @@ class DmaEngine final : public sim::Component {
   const util::Histogram& latency_hist() const { return latency_; }
 
   void tick() override;
-  /// idle() implies nothing is in flight (no descriptors, reads, writes or
-  /// fetches) and no link is left to walk; only push(), start_chain(),
-  /// start_ring() and publish() — which all wake us — create work.
-  bool quiescent() const override { return idle(); }
+  /// Idle, or the last tick changed no state and every request channel
+  /// (AR, AW, W) can take a push: the engine then waits on R/B beats
+  /// (subscribed) or on push(), start_chain(), start_ring() and publish(),
+  /// which all wake it. A fault drain, a retry backoff or a configured
+  /// progress watchdog keeps it awake: those count time, not input.
+  bool quiescent() const override;
 
  private:
   /// One queued register descriptor, or the head of an in-memory chain.
@@ -167,7 +171,14 @@ class DmaEngine final : public sim::Component {
     std::uint64_t payload_bytes = 0;
   };
 
-  // Phase helpers, called from tick() in order.
+  /// The watchdog counts cycles without progress (tick_timeout).
+  bool watchdog() const {
+    return cfg_.retry.enabled() && cfg_.retry.timeout_cycles != 0;
+  }
+  /// One cycle of work; tick() wraps it with the clock and busy accounting.
+  void advance();
+
+  // Phase helpers, called from advance() in order.
   void tick_start();    ///< begin next descriptor / descriptor fetch
   void tick_read();     ///< AR issue + R receive
   void tick_write();    ///< AW/W issue + B receive
@@ -259,8 +270,8 @@ class DmaEngine final : public sim::Component {
   std::uint64_t cur_ring_ordinal_ = kNoOrdinal;  ///< of the active transfer
   std::function<void(std::uint64_t, bool)> completion_;
 
-  // Latency stamps (engine clock; deltas equal wall-cycle deltas because
-  // the engine never sleeps while a descriptor is in flight).
+  // Latency stamps, on the engine clock now_ (Kernel::tick_clock, which
+  // matches the naive kernel's tick count even across busy sleeps).
   std::uint64_t cur_arrival_ = 0;  ///< queue-entry stamp of cur_
   util::Histogram latency_;
 
@@ -271,9 +282,15 @@ class DmaEngine final : public sim::Component {
   unsigned attempts_ = 0;       ///< failed attempts of the current activity
   std::uint64_t backoff_until_ = 0;
   std::uint64_t pack_fault_attempts_ = 0;  ///< breaker input
-  std::uint64_t now_ = 0;            ///< ticks while busy (relative time)
+  std::uint64_t now_ = 0;            ///< tick_clock() of the last tick
   std::uint64_t last_progress_ = 0;  ///< watchdog reference point
   sim::RetryStats retry_stats_;
+
+  // Sleep bookkeeping: whether the last tick changed any state, and
+  // whether work was in flight after it (the cycles slept since then were
+  // busy cycles).
+  bool progressed_ = false;
+  bool busy_ = false;
 
   std::deque<PendingDesc> queue_;
   axi::AxiPort& port_;

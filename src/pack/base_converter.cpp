@@ -19,6 +19,9 @@ BaseConverter::BaseConverter(sim::Kernel& k, std::vector<LaneIO> lanes,
       b_out_(k, b_out_depth, 1),
       max_bursts_(max_bursts) {
   k.add(*this);
+  attach_lanes(k, lanes_);
+  add_output(r_out_);
+  add_output(b_out_);
 }
 
 bool BaseConverter::can_accept_ar() const {
@@ -75,6 +78,7 @@ void BaseConverter::tick_issue() {
   while (issue_cursor_ < reads_.size() &&
          reads_[issue_cursor_].issue_beat >= reads_[issue_cursor_].ar.beats()) {
     ++issue_cursor_;
+    progressed_ = true;
   }
   if (issue_cursor_ >= reads_.size()) return;
   ReadBurst& burst = reads_[issue_cursor_];
@@ -95,6 +99,7 @@ void BaseConverter::tick_issue() {
     regulator_.on_issue(lane);
   }
   ++burst.issue_beat;  // at most one beat per cycle
+  progressed_ = true;
 }
 
 void BaseConverter::tick_pack() {
@@ -127,6 +132,7 @@ void BaseConverter::tick_pack() {
   ++burst.pack_beat;
   beat.last = burst.pack_beat == burst.ar.beats();
   r_out_.push(beat);
+  progressed_ = true;
   if (beat.last) {
     reads_.pop_front();
     if (issue_cursor_ > 0) --issue_cursor_;
@@ -182,6 +188,7 @@ void BaseConverter::collect_acks() {
     if (!lanes_[l].resp->front().was_write) continue;
     const bool err = lanes_[l].resp->pop().error;
     regulator_.on_retire(l);
+    progressed_ = true;
     for (WriteBurst& burst : writes_) {
       if (burst.acks < burst.words_issued ||
           burst.unpack_beat < burst.aw.beats()) {
@@ -199,10 +206,11 @@ void BaseConverter::collect_acks() {
     if (burst.err) b.resp = axi::kRespSlvErr;
     b_out_.push(b);
     writes_.pop_front();
+    progressed_ = true;
   }
 }
 
-void BaseConverter::tick() {
+void BaseConverter::advance() {
   collect_acks();
   tick_issue();
   tick_pack();

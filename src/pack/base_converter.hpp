@@ -38,9 +38,9 @@ class BaseConverter final : public Converter {
 
   bool idle() const override { return reads_.empty() && writes_.empty(); }
 
-  void tick() override;
 
  private:
+  void advance() override;
   /// Word accesses of one beat: lanes [first_lane, first_lane+words) read
   /// words starting at word-aligned address `word_addr`.
   struct BeatPlan {

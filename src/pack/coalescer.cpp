@@ -303,6 +303,16 @@ void Coalescer::issue_downstream() {
   }
 }
 
+bool Coalescer::quiescent() const {
+  if (issue_pending_ != 0) return false;
+  for (std::uint64_t m = waiters_pending_; m != 0; m &= m - 1) {
+    if (waiters_[static_cast<unsigned>(__builtin_ctzll(m))].front().ready) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void Coalescer::tick() {
   drain_downstream();
   release_upstream();

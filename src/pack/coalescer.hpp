@@ -125,10 +125,14 @@ class Coalescer final : public sim::Component {
   void invalidate(std::uint64_t addr);
 
   void tick() override;
-  /// Woken by subscribed FIFO visibility (upstream requests in, downstream
-  /// responses back); with no fetch in flight and no waiter unreleased the
-  /// tick is a no-op until a new upstream request arrives.
-  bool quiescent() const override { return idle(); }
+  /// Nothing queued for downstream issue and no upstream lane holding a
+  /// ready waiter at its head. Upstream requests and downstream responses
+  /// arrive on subscribed Fifos (a request the table cannot take yet stays
+  /// visible there, which keeps the unit awake), and a waiter becomes ready
+  /// only when a response drains — so fetches in flight alone do not keep
+  /// the unit awake. A ready head waiting on a full upstream response Fifo
+  /// does: that Fifo's pop wakes nobody.
+  bool quiescent() const override;
   bool idle() const { return live_ == 0 && total_waiters_ == 0; }
 
   const CoalescerStats& stats() const { return stats_; }

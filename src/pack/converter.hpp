@@ -139,10 +139,48 @@ class Converter : public sim::Component {
   /// True when no burst is in flight (used for drain checks in tests).
   virtual bool idle() const = 0;
 
-  /// Converters receive work through accept_*() calls (which wake them),
-  /// not through Fifo pops, so an idle converter can always sleep; while a
-  /// burst is in flight every cycle may issue requests or pack responses.
-  bool quiescent() const override { return idle(); }
+  /// Clears the progress flag, then runs one cycle of the converter.
+  void tick() final {
+    progressed_ = false;
+    advance();
+  }
+
+  /// One rule for every converter: idle, or the last tick changed no state
+  /// and every output Fifo (lane requests, r_out, b_out) can take a push.
+  /// New work then arrives only as lane responses (subscribed) or through
+  /// accept_*() (which wakes); a converter stalled on a full output stays
+  /// awake, since a pop of its output wakes nobody. Valid because the
+  /// kernel reads quiescent() right after this converter's own tick().
+  bool quiescent() const override {
+    if (idle()) return true;
+    if (progressed_) return false;
+    for (const sim::FifoBase* f : outputs_) {
+      if (!f->can_push()) return false;
+    }
+    return true;
+  }
+
+ protected:
+  /// One cycle of work; every stage sets progressed_ where it pushes, pops
+  /// or otherwise changes state.
+  virtual void advance() = 0;
+
+  /// Registers a lane bundle with the quiescence rule: subscribes to every
+  /// response Fifo and counts every request Fifo as an output. Call after
+  /// Kernel::add(*this).
+  void attach_lanes(sim::Kernel& k, const std::vector<LaneIO>& lanes) {
+    for (const LaneIO& lane : lanes) {
+      k.subscribe(*this, *lane.resp);
+      outputs_.push_back(lane.req);
+    }
+  }
+  /// Counts `f` (r_out / b_out) as an output for the quiescence rule.
+  void add_output(sim::FifoBase& f) { outputs_.push_back(&f); }
+
+  bool progressed_ = false;  ///< the last tick changed state
+
+ private:
+  std::vector<const sim::FifoBase*> outputs_;
 };
 
 }  // namespace axipack::pack

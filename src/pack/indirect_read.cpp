@@ -29,6 +29,9 @@ IndirectReadConverter::IndirectReadConverter(sim::Kernel& k,
       elem_q_(lanes_n_) {
   assert(idx_lanes_.empty() || idx_lanes_.size() == lanes_.size());
   k.add(*this);
+  attach_lanes(k, lanes_);
+  attach_lanes(k, idx_lanes_);
+  add_output(r_out_);
 }
 
 bool IndirectReadConverter::can_accept_ar() const {
@@ -68,9 +71,11 @@ void IndirectReadConverter::drain_responses() {
     for (unsigned l = 0; l < lanes_n_; ++l) {
       if (idx_lanes_[l].resp->can_pop()) {
         idx_q_[l].push_back(idx_lanes_[l].resp->pop());
+        progressed_ = true;
       }
       if (lanes_[l].resp->can_pop()) {
         elem_q_[l].push_back(lanes_[l].resp->pop());
+        progressed_ = true;
       }
     }
     return;
@@ -80,6 +85,7 @@ void IndirectReadConverter::drain_responses() {
   for (unsigned l = 0; l < lanes_n_; ++l) {
     if (!lanes_[l].resp->can_pop()) continue;
     const mem::WordResp& head = lanes_[l].resp->front();
+    progressed_ = true;
     if ((head.tag & 1u) == kIdxTag) {
       idx_q_[l].push_back(lanes_[l].resp->pop());
     } else {
@@ -152,6 +158,7 @@ void IndirectReadConverter::tick_issue() {
     if (!split && idx_burst != nullptr && elem_burst != nullptr) {
       prefer_idx_[l] = !prefer_idx_[l];  // round-robin between the stages
     }
+    progressed_ = true;
     if (pick_idx && idx_burst != nullptr) {
       Burst& bu = *idx_burst;
       mem::WordReq req;
@@ -198,6 +205,7 @@ void IndirectReadConverter::tick_index_extract() {
     mem::WordResp resp = idx_q_[lane].front();
     idx_q_[lane].pop_front();
     idx_regulator_.on_retire(lane);
+    progressed_ = true;
     ++bu.idx_words_extracted;
     if (resp.error) {
       // A corrupt index would fan out to an arbitrary (possibly unmapped)
@@ -237,6 +245,7 @@ void IndirectReadConverter::retire_indices(Burst& bu) {
   while (bu.idx_window_base < done_elems && !bu.idx_window.empty()) {
     bu.idx_window.pop_front();
     ++bu.idx_window_base;
+    progressed_ = true;
   }
 }
 
@@ -275,12 +284,13 @@ void IndirectReadConverter::tick_pack() {
   ++bu.pack_beat;
   beat.last = bu.pack_beat == bu.geom.beats;
   r_out_.push(beat);
+  progressed_ = true;
   if (beat.last) {
     bursts_.pop_front();
   }
 }
 
-void IndirectReadConverter::tick() {
+void IndirectReadConverter::advance() {
   drain_responses();
   tick_index_extract();
   tick_issue();

@@ -59,9 +59,9 @@ class IndirectReadConverter final : public Converter {
   /// leaving this converter may be bit-corrupted (delivered as SLVERR).
   void set_fault_plan(sim::FaultPlan* plan) { faults_ = plan; }
 
-  void tick() override;
 
  private:
+  void advance() override;
   // Tag bit 0 distinguishes the two stages' responses on the shared lanes.
   static constexpr std::uint32_t kIdxTag = 1;
   static constexpr std::uint32_t kElemTag = 0;

@@ -24,6 +24,8 @@ IndirectWriteConverter::IndirectWriteConverter(sim::Kernel& k,
       prefer_idx_(lanes_n_, true),
       idx_q_(lanes_n_) {
   k.add(*this);
+  attach_lanes(k, lanes_);
+  add_output(b_out_);
 }
 
 bool IndirectWriteConverter::can_accept_aw() const {
@@ -77,6 +79,9 @@ bool IndirectWriteConverter::can_accept_w() const {
 }
 
 void IndirectWriteConverter::accept_w(const axi::AxiW& w) {
+  // Retiring window entries below frees index-prefetch credit, which the
+  // next tick may spend: wake for it.
+  wake_self();
   Burst* bu = unpack_target();
   assert(bu != nullptr);
   const unsigned valid = bu->geom.valid_lanes(bu->unpack_beat);
@@ -106,6 +111,7 @@ void IndirectWriteConverter::drain_responses() {
   for (unsigned l = 0; l < lanes_n_; ++l) {
     if (!lanes_[l].resp->can_pop()) continue;
     const mem::WordResp& head = lanes_[l].resp->front();
+    progressed_ = true;
     if ((head.tag & 1u) == kIdxTag) {
       idx_q_[l].push_back(lanes_[l].resp->pop());
     } else {
@@ -147,6 +153,7 @@ void IndirectWriteConverter::tick_index_issue() {
       lanes_[l].req->push(req);
       idx_regulator_.on_issue(l);
       ++bu.idx_issue[l];
+      progressed_ = true;
       ++word_stats_.idx_words;
       break;
     }
@@ -170,6 +177,7 @@ void IndirectWriteConverter::tick_index_extract() {
     mem::WordResp resp = idx_q_[lane].front();
     idx_q_[lane].pop_front();
     idx_regulator_.on_retire(lane);
+    progressed_ = true;
     ++bu.idx_words_extracted;
     if (resp.error) {
       // Substitute index 0 (in-region) and poison the burst; accept_w
@@ -205,7 +213,7 @@ void IndirectWriteConverter::retire_indices(Burst& bu) {
   }
 }
 
-void IndirectWriteConverter::tick() {
+void IndirectWriteConverter::advance() {
   drain_responses();
   tick_index_extract();
   tick_index_issue();
@@ -218,6 +226,7 @@ void IndirectWriteConverter::tick() {
       if (bu.err) b.resp = axi::kRespSlvErr;
       b_out_.push(b);
       bursts_.pop_front();
+      progressed_ = true;
     }
   }
 }

@@ -32,9 +32,9 @@ class IndirectWriteConverter final : public Converter {
   /// words scattered — see IndirectWordStats.
   const IndirectWordStats& word_stats() const { return word_stats_; }
 
-  void tick() override;
 
  private:
+  void advance() override;
   static constexpr std::uint32_t kIdxTag = 1;
   static constexpr std::uint32_t kElemTag = 0;
 

@@ -16,6 +16,8 @@ StridedReadConverter::StridedReadConverter(sim::Kernel& k,
       r_out_(k, r_out_depth, 1),
       max_bursts_(max_bursts) {
   k.add(*this);
+  attach_lanes(k, lanes_);
+  add_output(r_out_);
 }
 
 bool StridedReadConverter::can_accept_ar() const {
@@ -55,6 +57,7 @@ void StridedReadConverter::tick_issue() {
       lanes_[l].req->push(req);
       regulator_.on_issue(l);
       ++beat;
+      progressed_ = true;
       break;
     }
   }
@@ -96,11 +99,12 @@ void StridedReadConverter::tick_pack() {
   ++bu.pack_beat;
   beat.last = bu.pack_beat == bu.geom.beats;
   r_out_.push(beat);
+  progressed_ = true;
   ++beats_packed_;
   if (beat.last) bursts_.pop_front();
 }
 
-void StridedReadConverter::tick() {
+void StridedReadConverter::advance() {
   tick_issue();
   tick_pack();
 }

@@ -33,7 +33,6 @@ class StridedReadConverter final : public Converter {
   sim::Fifo<axi::AxiR>* r_out() override { return &r_out_; }
   bool idle() const override { return bursts_.empty(); }
 
-  void tick() override;
 
   std::uint64_t beats_packed() const { return beats_packed_; }
 
@@ -42,6 +41,7 @@ class StridedReadConverter final : public Converter {
   void set_fault_plan(sim::FaultPlan* plan) { faults_ = plan; }
 
  private:
+  void advance() override;
   struct Burst {
     PackGeom geom;
     std::uint64_t base = 0;

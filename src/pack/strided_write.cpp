@@ -16,6 +16,8 @@ StridedWriteConverter::StridedWriteConverter(sim::Kernel& k,
       b_out_(k, b_out_depth, 1),
       max_bursts_(max_bursts) {
   k.add(*this);
+  attach_lanes(k, lanes_);
+  add_output(b_out_);
 }
 
 bool StridedWriteConverter::can_accept_aw() const {
@@ -74,13 +76,14 @@ void StridedWriteConverter::accept_w(const axi::AxiW& w) {
   assert(w.last == (bu->unpack_beat == bu->geom.beats));
 }
 
-void StridedWriteConverter::tick() {
+void StridedWriteConverter::advance() {
   // Collect write acknowledgements (one per lane per cycle); they arrive in
   // issue order, so each belongs to the oldest burst still missing acks.
   for (unsigned l = 0; l < lanes_.size(); ++l) {
     if (!lanes_[l].resp->can_pop()) continue;
     const bool err = lanes_[l].resp->pop().error;
     regulator_.on_retire(l);
+    progressed_ = true;
     for (Burst& bu : bursts_) {
       if (bu.acks < bu.geom.total_words) {
         ++bu.acks;
@@ -98,6 +101,7 @@ void StridedWriteConverter::tick() {
       if (bu.err) b.resp = axi::kRespSlvErr;
       b_out_.push(b);
       bursts_.pop_front();
+      progressed_ = true;
     }
   }
 }

@@ -28,9 +28,9 @@ class StridedWriteConverter final : public Converter {
   sim::Fifo<axi::AxiB>* b_out() override { return &b_out_; }
   bool idle() const override { return bursts_.empty(); }
 
-  void tick() override;
 
  private:
+  void advance() override;
   struct Burst {
     PackGeom geom;
     std::uint64_t base = 0;

@@ -43,10 +43,17 @@
 // Gating is cycle-identical to naive full-netlist ticking *provided*
 // components keep the protocol:
 //
-//  1. quiescent() must return true only when tick() would be a no-op now
-//     and on every future cycle until new input arrives. Any internal
-//     pending state — in-flight bursts, countdown timers, data waiting to
-//     be pushed into a full output Fifo — means "not quiescent".
+//  1. quiescent() must return true only when no progress is possible until
+//     a subscribed Fifo delivers an item, someone calls wake(), or the
+//     component's wake_hint() time arrives. Requests in flight do not by
+//     themselves mean "not quiescent": a component waiting on responses
+//     from a subscribed Fifo may sleep. Being blocked on a full *output*
+//     Fifo does count as able to progress — the kernel has no pop->producer
+//     wake, so a producer stalled on backpressure must stay awake — and so
+//     does any internal timer or retry window not published as a hint.
+//     The kernel reads quiescent() only right after the component's own
+//     tick() (never for a component that has not ticked this step), so
+//     "the last tick changed no state" is a valid input to the answer.
 //  2. A component must subscribe() to every Fifo it pops from (or whose
 //     visible data can otherwise re-activate it).
 //  3. Any non-tick entry point that creates new work for a component
@@ -57,6 +64,13 @@
 // simply ticked every cycle, exactly as before. set_gating(false) restores
 // the naive kernel wholesale (used by the equivalence tests and as the
 // perf-harness baseline).
+//
+// Scheduler data structures: the awake set is a bitset walked with
+// countr_zero in registration order; timed wakes less than 64 cycles out
+// sit in a 64-slot wheel of bit rows (one row per cycle mod 64, plus an
+// occupancy word), and farther ones (DRAM refresh, open-loop arrivals) in
+// a binary heap. Every slot also counts its ticks and sleeps
+// (Kernel::activity), in both modes.
 #pragma once
 
 #include <cassert>
@@ -87,8 +101,10 @@ class Component {
   virtual ~Component() = default;
   /// Advance one cycle: consume from input Fifos, produce into output Fifos.
   virtual void tick() = 0;
-  /// Activity hook: true iff tick() is a no-op now and stays one until new
-  /// input arrives (see the quiescence protocol in the file header).
+  /// Activity hook: true iff no progress is possible until a subscribed
+  /// Fifo delivers, wake() is called, or wake_hint() passes (rule 1 of the
+  /// quiescence protocol in the file header). Read only right after this
+  /// component's own tick().
   virtual bool quiescent() const { return false; }
   /// Timed-idleness hook, consulted only when quiescent() is true. A value
   /// `h` greater than the current cycle vouches that tick() is a no-op on
@@ -105,6 +121,8 @@ class Component {
   /// Marks this component runnable again; call from any non-tick entry
   /// point that hands it new work. Safe before registration (no-op).
   void wake_self();
+  /// Kernel::tick_clock for this (registered) component.
+  Cycle tick_clock() const;
 
  private:
   friend class Kernel;
@@ -122,6 +140,10 @@ class FifoBase {
   bool has_visible(Cycle now) const {
     return size_ > 0 && head_visible_ <= now;
   }
+
+  /// True if a push is allowed this cycle. Space freed by pops this cycle is
+  /// NOT counted (it becomes available next cycle).
+  bool can_push() const;
 
   /// Occupancy tap: every push also ORs `1 << bit` into `*word`; pass
   /// nullptr to detach. The consumer that owns the word clears the bit
@@ -151,8 +173,25 @@ class FifoBase {
   // Called by Fifo<T>; defined inline after Kernel.
   void notify_push(Cycle visible_at);
 
+  explicit FifoBase(std::size_t capacity) : capacity_(capacity) {}
+
+  /// Records one pop at cycle `now` for can_push's next-cycle rule.
+  void note_pop(Cycle now) {
+    if (last_pop_cycle_ == now) {
+      ++pops_at_last_cycle_;
+    } else {
+      last_pop_cycle_ = now;
+      pops_at_last_cycle_ = 1;
+    }
+  }
+
   std::size_t size_ = 0;       ///< items stored (visible or in flight)
+  std::size_t capacity_;
   Cycle head_visible_ = 0;     ///< visible_at of the head item (if size_>0)
+  /// Space freed by a pop only becomes pushable the next cycle; the count
+  /// lapses lazily when the clock moves on (no per-cycle commit walk).
+  Cycle last_pop_cycle_ = std::numeric_limits<Cycle>::max();
+  std::size_t pops_at_last_cycle_ = 0;
   Kernel* kernel_ = nullptr;
   std::uint64_t* push_flag_word_ = nullptr;  ///< see set_push_flag
   std::uint64_t push_flag_mask_ = 0;
@@ -173,10 +212,26 @@ struct RunStatus {
   operator bool() const { return completed; }  // NOLINT: drop-in for bool
 };
 
+/// Per-slot scheduler work counts (Kernel::activity).
+struct Activity {
+  std::uint64_t ticks = 0;   ///< tick() calls
+  std::uint64_t sleeps = 0;  ///< times put to sleep (always 0 when naive)
+};
+
 /// Owns the clock; ticks components, then commits channels.
 class Kernel {
  public:
   Cycle now() const { return cycle_; }
+
+  /// The clock as seen by component `c`: now(), plus 1 once c's slot of the
+  /// current step has been reached (during and after its own tick). This is
+  /// exactly the number of ticks a component registered at cycle 0 has had
+  /// under the naive kernel, so a component that counts time in ticks can
+  /// read it instead and stay exact while it sleeps.
+  Cycle tick_clock(const Component& c) const {
+    assert(c.kernel_ == this);
+    return cycle_ + (c.comp_id_ < step_pos_ ? 1 : 0);
+  }
 
   /// Registers a component (non-owning). Tick order = registration order.
   void add(Component& c);
@@ -196,6 +251,17 @@ class Kernel {
   /// gating behaviour); results are cycle-identical either way.
   void set_gating(bool on);
   bool gating() const { return gating_; }
+
+  /// Ticks and sleeps of `c` since registration. Counted in both modes;
+  /// the gated and naive counts differ by design, so they stay out of
+  /// every result whose equality the identity checks compare.
+  Activity activity(const Component& c) const {
+    assert(c.kernel_ == this);
+    const Slot& s = slots_[c.comp_id_];
+    return {s.ticks, s.sleeps};
+  }
+  /// Registered components in tick order.
+  std::vector<const Component*> components() const;
 
   /// Advances exactly one cycle.
   void step();
@@ -225,33 +291,63 @@ class Kernel {
   friend class FifoBase;
 
   static constexpr Cycle kNever = kNeverCycle;
+  /// Timed wakes closer than this go to the wheel, the rest to the heap.
+  static constexpr unsigned kWheelSlots = 64;
+
+  /// Per-component scheduler state, indexed by Component::comp_id_.
+  struct Slot {
+    Component* component = nullptr;
+    Cycle next_wake = kNever;      ///< earliest pending timed wake
+    Cycle sleep_check_at = 0;      ///< next sleep attempt
+    Cycle sleep_backoff = 0;       ///< current backoff length
+    std::size_t sub_hint = 0;      ///< try_sleep scan start
+    std::uint64_t ticks = 0;
+    std::uint64_t sleeps = 0;
+    std::vector<FifoBase*> subs;   ///< inputs (subscribed Fifos)
+  };
+
+  static std::uint64_t bit(std::uint32_t id) {
+    return std::uint64_t{1} << (id % 64);
+  }
+  bool is_awake(std::uint32_t id) const {
+    return (awake_[id / 64] & bit(id)) != 0;
+  }
 
   void wake_id(std::uint32_t id) {
-    if (awake_[id]) return;
-    awake_[id] = 1;
+    std::uint64_t& word = awake_[id / 64];
+    if ((word & bit(id)) != 0) return;
+    word |= bit(id);
     ++awake_count_;
-    next_wake_[id] = kNever;
-    sleep_backoff_[id] = 0;
-    sleep_check_at_[id] = 0;
-    for (FifoBase* f : subs_[id]) --f->asleep_subscribers_;
+    Slot& s = slots_[id];
+    s.next_wake = kNever;
+    s.sleep_backoff = 0;
+    s.sleep_check_at = 0;
+    for (FifoBase* f : s.subs) --f->asleep_subscribers_;
   }
 
   /// Schedules a timed wake for a sleeping component, deduplicated: a wake
   /// at or before `t` is already pending, or the component re-schedules
   /// from its subscriptions when it goes back to sleep after that wake.
+  /// Superseded entries stay queued and fire as harmless spurious wakes.
   void schedule_wake(std::uint32_t id, Cycle t) {
-    if (awake_[id] || next_wake_[id] <= t) return;
-    wakes_.emplace(t, id);
-    next_wake_[id] = t;
+    Slot& s = slots_[id];
+    if (is_awake(id) || s.next_wake <= t) return;
+    assert(t > cycle_);
+    s.next_wake = t;
+    if (t - cycle_ < kWheelSlots) {
+      const unsigned row = static_cast<unsigned>(t % kWheelSlots);
+      wheel_[(id / 64) * kWheelSlots + row] |= bit(id);
+      wheel_rows_ |= std::uint64_t{1} << row;
+    } else {
+      wakes_.emplace(t, id);
+    }
   }
 
   /// Processes timed wake-ups due at the current cycle.
-  void service_wakes() {
-    while (!wakes_.empty() && wakes_.top().first <= cycle_) {
-      wake_id(wakes_.top().second);
-      wakes_.pop();
-    }
-  }
+  void service_wakes();
+
+  /// Cycle of the earliest queued timed wake (kNever when none).
+  Cycle next_timed_wake() const;
 
   /// Sleeps component `i` if the protocol allows; schedules its next timed
   /// wake from the pending (not-yet-visible) items on its subscriptions.
@@ -263,10 +359,10 @@ class Kernel {
   static constexpr Cycle kMaxSleepBackoff = 64;
   /// Minimum nap length worth the sleep/wake bookkeeping.
   static constexpr Cycle kMinSleepCycles = 8;
-  void defer_sleep_check(std::uint32_t i) {
-    const Cycle b = sleep_backoff_[i];
-    sleep_backoff_[i] = b == 0 ? 1 : (b < kMaxSleepBackoff ? b * 2 : b);
-    sleep_check_at_[i] = cycle_ + 1 + sleep_backoff_[i];
+  void defer_sleep_check(Slot& s) {
+    const Cycle b = s.sleep_backoff;
+    s.sleep_backoff = b == 0 ? 1 : (b < kMaxSleepBackoff ? b * 2 : b);
+    s.sleep_check_at = cycle_ + 1 + s.sleep_backoff;
   }
 
   /// On-push notification from a subscribed Fifo.
@@ -283,22 +379,39 @@ class Kernel {
 
   Cycle cycle_ = 0;
   bool gating_ = true;
-  std::vector<Component*> components_;
-  std::vector<std::uint8_t> awake_;               ///< parallel to components_
-  std::vector<Cycle> next_wake_;                  ///< earliest pending wake
-  std::vector<std::size_t> sub_hint_;             ///< try_sleep scan start
-  std::vector<Cycle> sleep_check_at_;             ///< next sleep attempt
-  std::vector<Cycle> sleep_backoff_;              ///< current backoff length
+  /// 1 + the slot being ticked during step(), 0 between steps (tick_clock).
+  std::uint32_t step_pos_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<std::uint64_t> awake_;  ///< bitset over slots
   std::size_t awake_count_ = 0;
-  std::vector<std::vector<FifoBase*>> subs_;      ///< per-component inputs
+  /// Near-wake wheel: row r (cycle % 64) is a bitset over slots, stored
+  /// word-major (word w of row r at w * 64 + r); bit r of wheel_rows_ is
+  /// set iff row r may hold a bit. Every entry is less than 64 cycles out
+  /// and each stepped cycle services its row, so rows never alias.
+  std::vector<std::uint64_t> wheel_;
+  std::uint64_t wheel_rows_ = 0;
   std::priority_queue<std::pair<Cycle, std::uint32_t>,
                       std::vector<std::pair<Cycle, std::uint32_t>>,
                       std::greater<>>
-      wakes_;
+      wakes_;  ///< timed wakes 64 or more cycles out
 };
+
+/// Class name of `c` without namespaces (e.g. "DmaEngine"): the key the
+/// per-class activity reports group component slots by.
+std::string component_class(const Component& c);
 
 inline void Component::wake_self() {
   if (kernel_ != nullptr) kernel_->wake(*this);
+}
+
+inline Cycle Component::tick_clock() const {
+  return kernel_->tick_clock(*this);
+}
+
+inline bool FifoBase::can_push() const {
+  const std::size_t popped =
+      last_pop_cycle_ == kernel_->now() ? pops_at_last_cycle_ : 0;
+  return size_ + popped < capacity_;
 }
 
 inline void FifoBase::notify_push(Cycle visible_at) {
@@ -322,7 +435,7 @@ class Fifo : public FifoBase {
  public:
   explicit Fifo(Kernel& k, std::size_t capacity, Cycle latency = 1,
                 std::string name = {})
-      : capacity_(capacity), latency_(latency), name_(std::move(name)) {
+      : FifoBase(capacity), latency_(latency), name_(std::move(name)) {
     assert(capacity_ > 0);
     assert(latency_ >= 1);
     storage_ = round_up_pow2(capacity_ < kInitialStorage ? capacity_
@@ -333,12 +446,6 @@ class Fifo : public FifoBase {
 
   Fifo(const Fifo&) = delete;
   Fifo& operator=(const Fifo&) = delete;
-
-  /// True if a push is allowed this cycle. Space freed by pops this cycle is
-  /// NOT counted (it becomes available next cycle).
-  bool can_push() const {
-    return size_ + popped_this_cycle() < capacity_;
-  }
 
   void push(T item) { push_in(std::move(item), latency_); }
 
@@ -382,13 +489,7 @@ class Fifo : public FifoBase {
     head_ = (head_ + 1) & (storage_ - 1);
     --size_;
     head_visible_ = size_ > 0 ? ring_[head_].visible_at : 0;
-    const Cycle now = now_();
-    if (last_pop_cycle_ == now) {
-      ++pops_at_last_cycle_;
-    } else {
-      last_pop_cycle_ = now;
-      pops_at_last_cycle_ = 1;
-    }
+    note_pop(now_());
     return item;
   }
 
@@ -452,12 +553,6 @@ class Fifo : public FifoBase {
 
   Cycle now_() const;  // defined below (needs Kernel)
 
-  /// Space freed by a pop only becomes pushable the next cycle; the count
-  /// lapses lazily when the clock moves on (no per-cycle commit walk).
-  std::size_t popped_this_cycle() const {
-    return last_pop_cycle_ == now_() ? pops_at_last_cycle_ : 0;
-  }
-
   void grow() {
     const std::size_t bigger = storage_ * 2;
     auto fresh = std::make_unique<Slot[]>(bigger);
@@ -469,14 +564,11 @@ class Fifo : public FifoBase {
     head_ = 0;
   }
 
-  std::size_t capacity_;
   Cycle latency_;
   std::string name_;
   std::unique_ptr<Slot[]> ring_;
   std::size_t storage_ = 0;  ///< allocated slots (power of two)
   std::size_t head_ = 0;
-  Cycle last_pop_cycle_ = std::numeric_limits<Cycle>::max();
-  std::size_t pops_at_last_cycle_ = 0;
 };
 
 template <typename T>

@@ -577,7 +577,8 @@ std::string curve_key(const ResultRow& row, const std::string& axis) {
 
 }  // namespace
 
-PointResult open_loop_point(const GridPoint& p, sim::Cycle window) {
+PointResult open_loop_point(const GridPoint& p, sim::Cycle window,
+                            LayerActivity* activity) {
   std::string name = p.scenario;
   const auto channels = p.params.find("channels");
   if (channels != p.params.end() && channels->second > 1) {
@@ -587,7 +588,9 @@ PointResult open_loop_point(const GridPoint& p, sim::Cycle window) {
   SystemBuilder builder = ScenarioRegistry::instance().builder(name);
   for (const auto& patch : p.builder_patches) patch(builder);
   PointResult out;
-  out.run = builder.build()->run_open_loop(window);
+  const std::unique_ptr<System> system = builder.build();
+  out.run = system->run_open_loop(window);
+  if (activity != nullptr) *activity = system->layer_activity();
   out.metrics["latency_p50"] = out.run.latency.percentile(50);
   out.metrics["latency_p95"] = out.run.latency.percentile(95);
   out.metrics["latency_p99"] = out.run.latency.percentile(99);

@@ -265,8 +265,10 @@ class ExperimentSpec {
 /// point's "rate" and (when swept) "channels" params, applies the point's
 /// builder patches, runs `window` measured cycles with
 /// System::run_open_loop and reports latency_p50/p95/p99, offered_rate,
-/// achieved_rate and queue_peak alongside the run.
-PointResult open_loop_point(const GridPoint& p, sim::Cycle window);
+/// achieved_rate and queue_peak alongside the run. A non-null `activity`
+/// receives the run's per-class scheduler work.
+PointResult open_loop_point(const GridPoint& p, sim::Cycle window,
+                            LayerActivity* activity = nullptr);
 
 /// Stamps slo_p99 and knee_rate on every row of an open-loop set: a
 /// curve is the rows sharing every coord but "rate", and its knee is the

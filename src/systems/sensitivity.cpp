@@ -107,6 +107,7 @@ SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
                   (static_cast<double>(result.cycles) * cfg.bus_bytes);
   result.bank_conflict_losses =
       system->memory(0)->stats().conflict_losses;
+  result.coalescer = system->adapter().coalescer_stats();
   return result;
 }
 

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "pack/coalescer.hpp"
+
 namespace axipack::sys {
 
 struct SensitivityConfig {
@@ -38,6 +40,8 @@ struct SensitivityResult {
   std::uint64_t cycles = 0;
   std::uint64_t payload_bytes = 0;
   std::uint64_t bank_conflict_losses = 0;
+  /// The adapter's coalescing units, summed (all zero when disabled).
+  pack::CoalescerStats coalescer;
 };
 
 /// Runs the configured read stream to completion and reports utilization.

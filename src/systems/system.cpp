@@ -454,6 +454,19 @@ axi::AxiPort& System::master_port(MasterId id) {
   return *masters_[id].port;
 }
 
+LayerActivity System::layer_activity() const {
+  LayerActivity out;
+  out.cycles = kernel_.now();
+  for (const sim::Component* c : kernel_.components()) {
+    ClassActivity& a = out.classes[sim::component_class(*c)];
+    const sim::Activity mine = kernel_.activity(*c);
+    ++a.instances;
+    a.ticks += mine.ticks;
+    a.sleeps += mine.sleeps;
+  }
+  return out;
+}
+
 bool System::drained() const {
   if (driver_ && !driver_->drained()) return false;
   for (const auto& m : masters_) {

@@ -7,6 +7,7 @@
 // system); ideal-mode processors run on their exclusive ideal memory.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -121,10 +122,34 @@ struct RunResult {
   std::string to_json() const;
 };
 
+/// One component class's scheduler work, summed over its instances.
+struct ClassActivity {
+  unsigned instances = 0;
+  std::uint64_t ticks = 0;
+  std::uint64_t sleeps = 0;
+};
+
+/// Scheduler work of one run, per component class (Kernel::activity summed
+/// over the class's instances). Gated and naive runs differ by design, so
+/// this stays out of RunResult and its JSON.
+struct LayerActivity {
+  sim::Cycle cycles = 0;  ///< simulated cycles since the system was built
+  std::map<std::string, ClassActivity> classes;
+
+  /// Ticks of every class together.
+  std::uint64_t ticks() const {
+    std::uint64_t total = 0;
+    for (const auto& [name, c] : classes) total += c.ticks;
+    return total;
+  }
+};
+
 class System {
  public:
   mem::BackingStore& store() { return *store_; }
   sim::Kernel& kernel() { return kernel_; }
+  /// Ticks and sleeps so far, per component class.
+  LayerActivity layer_activity() const;
   unsigned bus_bytes() const { return bus_bytes_; }
 
   // ---- masters ---------------------------------------------------------

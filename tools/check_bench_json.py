@@ -14,7 +14,11 @@ thread-scaling point records requested vs effective threads with an
 oversubscription flag, no oversubscribed point leaks into
 gated_parallel_ms (oversubscribed wall-clocks measure the host, not the
 engine), and every gate is a {name, value, floor, pass} predicate whose
-pass flag agrees with value >= floor and is true.
+pass flag agrees with value >= floor and is true. Its layers block lists
+one {class, instances, gated/naive ticks and gated sleeps per cycle} row
+per component class of one open-loop point: naive ticks per cycle equal
+the instance count, gated ticks never exceed naive, and the
+open_loop.tick_reduction gate equals the block's naive/gated tick ratio.
 
 Usage: check_bench_json.py FILE.json [FILE.json ...]
 Exits non-zero on the first malformed artifact.
@@ -38,7 +42,12 @@ RUN_FIELDS = {"cycles", "r_util", "correct", "row_hit_ratio",
 
 
 KERNEL_FIELDS = {"seed", "hardware_threads", "timing", "thread_scaling",
-                 "gates"}
+                 "gates", "layers"}
+
+LAYERS_FIELDS = {"set", "system", "rate", "cycles", "classes"}
+
+LAYER_CLASS_FIELDS = {"class", "instances", "gated_ticks_per_cycle",
+                      "naive_ticks_per_cycle", "gated_sleeps_per_cycle"}
 
 SCALE_POINT_FIELDS = {"threads_requested", "threads_effective",
                       "oversubscribed", "wall_ms", "dram_wall_ms"}
@@ -100,7 +109,53 @@ def check_kernel_file(path, doc):
         if not gate["pass"]:
             fail(path, f"gate {gate['name']} failed: {gate['value']} < "
                        f"{gate['floor']}")
-    return f"{len(gates)} gate(s), {len(points)} thread-scaling point(s)"
+    n_classes = check_layers(path, doc["layers"], gates)
+    return (f"{len(gates)} gate(s), {len(points)} thread-scaling point(s), "
+            f"{n_classes} layer class(es)")
+
+
+def check_layers(path, layers, gates):
+    """Validates the per-class scheduler work block; returns its size."""
+    if set(layers) != LAYERS_FIELDS:
+        fail(path, f"layers fields {sorted(layers)} != "
+                   f"{sorted(LAYERS_FIELDS)}")
+    if layers["cycles"] <= 0:
+        fail(path, "layers block covers no simulated cycles")
+    rows = layers["classes"]
+    if not rows:
+        fail(path, "layers block lists no component classes")
+    names = set()
+    gated_total = naive_total = 0.0
+    for row in rows:
+        if set(row) != LAYER_CLASS_FIELDS:
+            fail(path, f"layers row {row!r} fields != "
+                       f"{sorted(LAYER_CLASS_FIELDS)}")
+        name = row["class"]
+        if name in names:
+            fail(path, f"layers class {name!r} listed twice")
+        names.add(name)
+        if row["instances"] < 1:
+            fail(path, f"layers class {name!r} has no instances")
+        gated, naive = row["gated_ticks_per_cycle"], row["naive_ticks_per_cycle"]
+        # The naive kernel ticks every instance every cycle.
+        if abs(naive - row["instances"]) > 1e-9 * row["instances"]:
+            fail(path, f"layers class {name!r}: naive ticks per cycle "
+                       f"{naive} != instances {row['instances']}")
+        if not 0 <= gated <= naive * (1 + 1e-9):
+            fail(path, f"layers class {name!r}: gated ticks per cycle "
+                       f"{gated} outside [0, naive {naive}]")
+        if row["gated_sleeps_per_cycle"] < 0:
+            fail(path, f"layers class {name!r}: negative sleeps")
+        gated_total += gated
+        naive_total += naive
+    reduction = [g for g in gates if g["name"] == "open_loop.tick_reduction"]
+    if len(reduction) != 1:
+        fail(path, "no open_loop.tick_reduction gate beside the layers block")
+    ratio = naive_total / gated_total if gated_total > 0 else 0.0
+    if abs(reduction[0]["value"] - ratio) > 1e-6 * max(ratio, 1.0):
+        fail(path, f"open_loop.tick_reduction {reduction[0]['value']} != "
+                   f"layers naive/gated tick ratio {ratio}")
+    return len(rows)
 
 
 def check_file(path):

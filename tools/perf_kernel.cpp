@@ -15,7 +15,10 @@
 // headline, dram and dram-ch4 also run on the naive kernel (gating off:
 // every component ticks every cycle), selected by a builder patch. Each
 // row's full RunResult must match its gated twin, so the wall-clock ratios
-// isolate the engine, not the model. Every CI gate is one
+// isolate the engine, not the model. One open-loop point also reports the
+// kernel's per-class tick and sleep counts, gated and naive (the `layers`
+// block): deterministic work counters, so they can gate where wall-clock
+// cannot. Every CI gate is one
 // {name, value, floor, pass} predicate over the returned ResultSets and the
 // exit code is non-zero when any gate fails. Wall-clock numbers (fastest of
 // --repeats passes) are recorded but gate nothing: they measure the host as
@@ -76,6 +79,10 @@ constexpr double kChannelScalingFloor = 1.7;
 constexpr double kOpenLoopSloP99 = 5000.0;
 constexpr double kOpenLoopKneeFloor = 1.5;
 constexpr sim::Cycle kOpenLoopWindow = 120'000;
+/// Naive ticks / gated ticks on the open-loop identity point. Components
+/// that sleep while their requests are in flight measured 11.4x at seed
+/// 42; when in-flight work pinned them awake it was 5.4x.
+constexpr double kTickReductionFloor = 8.0;
 
 /// A closed-loop set: `kernels` x `scenarios` at kSeed, joined against the
 /// first scenario when there are several.
@@ -93,14 +100,16 @@ sys::ExperimentSpec closed_loop(std::string name,
 }
 
 /// An open-loop rate sweep: each point is a kOpenLoopWindow-cycle measured
-/// window of Poisson-arriving 64-word gathers through the ring DMA.
+/// window of Poisson-arriving 64-word gathers through the ring DMA. A
+/// non-null `activity` receives the (single) point's per-class work.
 sys::ExperimentSpec open_loop(std::string name, std::vector<double> rates,
-                              std::vector<std::string> systems) {
+                              std::vector<std::string> systems,
+                              sys::LayerActivity* activity = nullptr) {
   sys::ExperimentSpec spec(std::move(name));
   spec.param_axis("rate", "rate", std::move(rates))
       .scenarios_axis("system", std::move(systems))
-      .runner([](const sys::GridPoint& p) {
-        return sys::open_loop_point(p, kOpenLoopWindow);
+      .runner([activity](const sys::GridPoint& p) {
+        return sys::open_loop_point(p, kOpenLoopWindow, activity);
       });
   return spec;
 }
@@ -304,11 +313,20 @@ int main(int argc, char** argv) {
           .run();
   sys::stamp_open_loop_knees(ol, kOpenLoopSloP99);
   // The open-loop driver sleeps between arrivals, so it exercises the wake
-  // scheduler in a way no closed-loop set does: one gated-vs-naive point.
-  const sys::ExperimentSpec ol_point =
-      open_loop("open_loop_identity", {160}, {"pack-256-dram"});
-  const sys::ResultSet ol_gated = ol_point.run();
-  const sys::ResultSet ol_naive = naive(ol_point).run();
+  // scheduler in a way no closed-loop set does: one gated-vs-naive point,
+  // which also reports the per-class scheduler work of both runs.
+  constexpr double kLayersRate = 160;
+  const char* const kLayersSystem = "pack-256-dram";
+  sys::LayerActivity layers_gated;
+  sys::LayerActivity layers_naive;
+  const sys::ResultSet ol_gated =
+      open_loop("open_loop_identity", {kLayersRate}, {kLayersSystem},
+                &layers_gated)
+          .run();
+  const sys::ResultSet ol_naive =
+      naive(open_loop("open_loop_identity", {kLayersRate}, {kLayersSystem},
+                      &layers_naive))
+          .run();
 
   // 4) Gates.
   std::vector<Gate> gates;
@@ -379,6 +397,12 @@ int main(int argc, char** argv) {
   gates.push_back({"open_loop.verified",
                    std::min(verified(ol), verified(ol_naive)), 1.0});
   gates.push_back({"open_loop.identical", identical(ol_gated, ol_naive), 1.0});
+  gates.push_back({"open_loop.tick_reduction",
+                   layers_gated.ticks() == 0
+                       ? 0.0
+                       : static_cast<double>(layers_naive.ticks()) /
+                             static_cast<double>(layers_gated.ticks()),
+                   kTickReductionFloor});
 
   bool all_pass = true;
   std::printf("gates:\n");
@@ -434,6 +458,33 @@ int main(int argc, char** argv) {
     w.end_object();
   }
   w.end_array();
+  // Ticks (and gated sleeps) per simulated cycle, per component class,
+  // summed over the class's instances.
+  w.key("layers").begin_object();
+  w.key("set").value("open_loop_identity");
+  w.key("system").value(kLayersSystem);
+  w.key("rate").value(kLayersRate);
+  w.key("cycles").value(layers_gated.cycles);
+  w.key("classes").begin_array();
+  const auto per_cycle = [](std::uint64_t n, sim::Cycle cycles) {
+    return cycles == 0 ? 0.0
+                       : static_cast<double>(n) / static_cast<double>(cycles);
+  };
+  for (const auto& [name, gated] : layers_gated.classes) {
+    const sys::ClassActivity& naive_class = layers_naive.classes[name];
+    w.begin_object();
+    w.key("class").value(name);
+    w.key("instances").value(gated.instances);
+    w.key("gated_ticks_per_cycle")
+        .value(per_cycle(gated.ticks, layers_gated.cycles));
+    w.key("naive_ticks_per_cycle")
+        .value(per_cycle(naive_class.ticks, layers_naive.cycles));
+    w.key("gated_sleeps_per_cycle")
+        .value(per_cycle(gated.sleeps, layers_gated.cycles));
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
   w.key("experiments").begin_array();
   const std::vector<const sys::ResultSet*> experiments = {
       &pairs[0].gated.set, &pairs[1].gated.set, &pairs[2].gated.set,
